@@ -234,7 +234,6 @@ FusionRace race_fusion(const std::string& backend_name, bool smoke) {
 
   nn::Conv2d folded(c, o, 1, /*stride=*/1, /*pad=*/0, /*bias=*/true);
   tensor::Tensor out{tensor::Shape{n, o, hw, hw}};
-  nn::Workspace ws;
 
   race.reps = smoke ? std::size_t{5} : std::size_t{300};
   // Warm both sides: page in kernels, grow the fused side's scratch.
@@ -243,7 +242,7 @@ FusionRace race_fusion(const std::string& backend_name, bool smoke) {
       relu.forward(bn.forward(conv.forward(x, false), false), false);
   nn::fold_conv_bn(conv.weight(), conv.bias(), bn, folded.weight(),
                    folded.bias());
-  folded.forward_into(x, out, ws);
+  folded.forward_into(x, out);
 
   double best_unfused = 1e30, best_fused = 1e30;
   for (std::size_t r = 0; r < race.reps; ++r) {
@@ -260,7 +259,7 @@ FusionRace race_fusion(const std::string& backend_name, bool smoke) {
       util::Stopwatch timer;
       nn::fold_conv_bn(conv.weight(), conv.bias(), bn, folded.weight(),
                        folded.bias());
-      folded.forward_into(x, out, ws);
+      folded.forward_into(x, out);
       tensor::relu_inplace(out);
       best_fused = std::min(best_fused, timer.seconds());
     }

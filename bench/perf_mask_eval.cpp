@@ -6,8 +6,8 @@
 // (speedup ~ depth / layers-remaining).
 //
 // A second race measures batched multi-mask evaluation (DESIGN.md §10): the
-// same mask set rides through BayesianFaultNetwork::evaluate_masks, which
-// fuses K fault variants into one widened forward, against the sequential
+// same mask set rides through BayesianFaultNetwork::evaluate(EvalRequest),
+// which fuses K fault variants into one widened forward, against the sequential
 // evaluate_mask loop — per layer, plus a mask-batch (K) sweep. On an AVX2
 // host the non-smoke run enforces the >=4x overall batched speedup target.
 //
@@ -153,11 +153,11 @@ int main(int argc, char** argv) {
     const std::vector<std::size_t> batch_ks =
         smoke ? std::vector<std::size_t>{2} : std::vector<std::size_t>{2, 8, 24};
     std::vector<double> batched_s(batch_ks.size(), 0.0);
-    truncated.evaluate_masks(batch, batch_ks.front());  // warm the fused path
+    truncated.evaluate({batch, batch_ks.front()});  // warm the fused path
     for (std::size_t ki = 0; ki < batch_ks.size(); ++ki) {
       util::Stopwatch batched_timer;
       for (std::size_t r = 0; r < reps; ++r) {
-        truncated.evaluate_masks(batch, batch_ks[ki]);
+        truncated.evaluate({batch, batch_ks[ki]});
       }
       batched_s[ki] += batched_timer.seconds();
     }
@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
               "===\n\n");
   bench::emit(table, "perf_mask_eval");
 
-  // Batched race table: sequential truncated loop vs evaluate_masks at the
+  // Batched race table: sequential truncated loop vs evaluate() at the
   // default mask batch (8 non-smoke; the only swept K in smoke).
   const std::vector<std::size_t>& ks = timings.front().batch_ks;
   std::size_t default_ki = 0;

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# CI job: build with ASan + UBSan (BDLFI_SANITIZE=ON) and run the test suite.
+# CI job: build with ASan + UBSan (BDLFI_SANITIZE=ON) and run the test suite,
+# then build the threading suites with ThreadSanitizer and run them.
 # The resilience layer (signal handlers, checkpoint serialization, chain
 # retry/quarantine) is the main consumer: those paths have exactly the
 # use-after-free / UB failure modes sanitizers exist to catch.
 #
-# Usage: scripts/ci_sanitize.sh [build-dir]   (default: build-sanitize)
+# Usage: scripts/ci_sanitize.sh [build-dir]   (default: build-sanitize; the
+# TSan pass builds into <build-dir>-tsan)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -111,3 +113,22 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
 echo "=== posterior-guided hardening suite ==="
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
   -R 'HardenTest|tab_hardening_loop_'
+
+# ThreadSanitizer pass. TSan cannot share a binary with ASan, so it gets its
+# own build tree, instrumented through the compiler/linker flags rather than
+# a project option. It covers the parallelism rule (a parallel_for issued
+# from a pool worker runs inline, so nested chain -> conv -> GEMM loops cannot
+# deadlock), the multi-chain campaign runner at full pool width, and the
+# batched multi-mask engine. No suppressions: any report fails the job.
+TSAN_DIR="${BUILD_DIR}-tsan"
+TSAN_SUITES=(util_thread_pool_test mcmc_test multi_mask_test)
+cmake -B "$TSAN_DIR" -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
+  -DCMAKE_SHARED_LINKER_FLAGS="-fsanitize=thread"
+cmake --build "$TSAN_DIR" -j "$(nproc)" --target "${TSAN_SUITES[@]}"
+echo "=== ThreadSanitizer: thread pool, MCMC runner, batched multi-mask ==="
+for suite in "${TSAN_SUITES[@]}"; do
+  TSAN_OPTIONS="halt_on_error=1" "$TSAN_DIR/tests/$suite"
+done

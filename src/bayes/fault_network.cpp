@@ -132,11 +132,6 @@ EvalOutcome BayesianFaultNetwork::evaluate(const EvalRequest& request) {
   return multi_mask_->evaluate(request.masks, request.mask_batch);
 }
 
-std::vector<MaskOutcome> BayesianFaultNetwork::evaluate_masks(
-    std::span<const FaultMask> masks, std::size_t mask_batch) {
-  return evaluate({masks, mask_batch}).outcomes;
-}
-
 tensor::Tensor BayesianFaultNetwork::logits_under_mask(const FaultMask& mask) {
   return logits_view_under_mask(mask);  // deep copy at the return boundary
 }
@@ -149,7 +144,6 @@ const tensor::Tensor& BayesianFaultNetwork::logits_view_under_mask(
   if (!split.compute_flips.empty()) {
     net_.set_compute_fault_plan(&split.compute_flips);
   }
-  const std::size_t depth = net_.num_layers();
   // First layer whose execution can differ from golden; replay can begin no
   // later than the cached-prefix length (a replay at B needs act[B-1]). With
   // no cached prefix the scan cannot save anything — skip the replay
@@ -185,31 +179,14 @@ const tensor::Tensor& BayesianFaultNetwork::logits_view_under_mask(
       logits =
           &net_.forward_view(static_cast<std::size_t>(begin), start, hook);
     }
-    ++eval_stats_.truncated_evals;
-    eval_stats_.layers_run += depth - static_cast<std::size_t>(begin);
+  } else if (!split.input_flips.empty()) {
+    start_scratch_ = eval_inputs_;
+    flip_into(start_scratch_, split.input_flips);
+    logits = &net_.forward_view(0, start_scratch_, hook);
   } else {
-    if (!split.input_flips.empty()) {
-      start_scratch_ = eval_inputs_;
-      flip_into(start_scratch_, split.input_flips);
-      logits = &net_.forward_view(0, start_scratch_, hook);
-    } else {
-      logits = &net_.forward_view(0, eval_inputs_, hook);
-    }
-    ++eval_stats_.full_evals;
-    eval_stats_.layers_run += depth;
+    logits = &net_.forward_view(0, eval_inputs_, hook);
   }
-  eval_stats_.layers_total += depth;
-  if (obs::enabled()) {
-    EvalMetrics& m = EvalMetrics::get();
-    if (begin > 0) {
-      m.truncated.add();
-      m.layers_run.add(depth - static_cast<std::size_t>(begin));
-    } else {
-      m.full.add();
-      m.layers_run.add(depth);
-    }
-    m.layers_total.add(depth);
-  }
+  record_evals(begin, 1);
   space_->apply_bits(split.param_bits);  // XOR self-inverse: golden restored
   if (!split.compute_flips.empty()) net_.set_compute_fault_plan(nullptr);
   return *logits;
@@ -240,11 +217,16 @@ MaskOutcome BayesianFaultNetwork::evaluate_mask(const FaultMask& mask) {
       abft.faults_injected.load(std::memory_order_relaxed) - inj0;
   outcome.guard_corrections =
       has_guards_ ? nn::total_guard_corrections(net_) - guard0 : 0;
-  const std::int64_t classes = logits.shape()[1];
+  classify(logits.data(), logits.shape()[1], outcome);
+  return outcome;
+}
+
+void BayesianFaultNetwork::classify(const float* logits, std::int64_t classes,
+                                    MaskOutcome& outcome) const {
   const auto scan = tensor::backend::active().argmax_finite_row;
   std::size_t miss = 0, dev = 0, detected = 0, sdc = 0;
   for (std::size_t i = 0; i < eval_labels_.size(); ++i) {
-    const float* row = logits.data() + static_cast<std::int64_t>(i) * classes;
+    const float* row = logits + static_cast<std::int64_t>(i) * classes;
     // One fused pass per row: argmax and NaN/Inf finiteness together, via
     // the active kernel backend. The argmax matches tensor::argmax_rows — a
     // NaN compare is false, so a NaN never displaces the incumbent.
@@ -268,7 +250,7 @@ MaskOutcome BayesianFaultNetwork::evaluate_mask(const FaultMask& mask) {
 
   // Whole-evaluation taxonomy. Only real detection signals classify: ABFT
   // rows flagged without recovery, or non-finite output logits. RangeGuard
-  // clamps are silent (telemetry above) and sub-tolerance compute flips that
+  // clamps are silent (telemetry only) and sub-tolerance compute flips that
   // change nothing land in kMasked by construction.
   const bool detector_fired = outcome.abft_detected_rows > 0 || detected > 0;
   if (detector_fired) {
@@ -280,7 +262,26 @@ MaskOutcome BayesianFaultNetwork::evaluate_mask(const FaultMask& mask) {
   } else {
     outcome.outcome = FaultOutcome::kMasked;
   }
-  return outcome;
+}
+
+void BayesianFaultNetwork::record_evals(std::int64_t begin,
+                                        std::size_t count) {
+  const std::size_t depth = net_.num_layers();
+  const std::size_t ran =
+      depth - (begin > 0 ? static_cast<std::size_t>(begin) : 0);
+  if (begin > 0) {
+    eval_stats_.truncated_evals += count;
+  } else {
+    eval_stats_.full_evals += count;
+  }
+  eval_stats_.layers_run += count * ran;
+  eval_stats_.layers_total += count * depth;
+  if (obs::enabled()) {
+    EvalMetrics& m = EvalMetrics::get();
+    (begin > 0 ? m.truncated : m.full).add(count);
+    m.layers_run.add(count * ran);
+    m.layers_total.add(count * depth);
+  }
 }
 
 std::vector<std::uint8_t> BayesianFaultNetwork::deviation_under_mask(

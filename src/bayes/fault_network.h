@@ -180,10 +180,6 @@ class BayesianFaultNetwork {
   /// mask_batch = 1 (allocation-free: no outcome vector is built).
   MaskOutcome evaluate_mask(const FaultMask& mask);
 
-  /// Deprecated: thin wrapper over evaluate(); prefer the EvalRequest form.
-  std::vector<MaskOutcome> evaluate_masks(std::span<const FaultMask> masks,
-                                          std::size_t mask_batch = 8);
-
   /// Output logits of the network corrupted by `mask` over the eval batch —
   /// bit-identical between the truncated and full evaluation paths. State is
   /// golden again on return.
@@ -233,6 +229,19 @@ class BayesianFaultNetwork {
   /// evaluate_mask (a view of the planned-execution arena on the planned
   /// path). Valid until the next forward on the owned network.
   const tensor::Tensor& logits_view_under_mask(const FaultMask& mask);
+
+  /// The outcome classifier shared by both engines: scans the [N, classes]
+  /// eval-batch logits at `logits` (one fused argmax + finiteness pass per
+  /// row), fills the per-sample percentages of `outcome`, and derives its
+  /// FaultOutcome class from them and the ABFT deltas already recorded in
+  /// `outcome` (zero on the batched path).
+  void classify(const float* logits, std::int64_t classes,
+                MaskOutcome& outcome) const;
+
+  /// Eval accounting shared by both engines: records `count` evaluations
+  /// that replayed from layer `begin` (0 = full forward) in eval_stats_ and
+  /// the process-wide eval.* registry counters.
+  void record_evals(std::int64_t begin, std::size_t count);
 
   nn::Network net_;
   std::unique_ptr<InjectionSpace> space_;

@@ -11,10 +11,7 @@
 #include "bayes/mask_split.h"
 #include "nn/conv.h"
 #include "nn/layers.h"
-#include "nn/plan.h"
 #include "nn/resblock.h"
-#include "obs/metrics.h"
-#include "tensor/backend/backend.h"
 #include "tensor/ops.h"
 #include "util/check.h"
 
@@ -53,7 +50,6 @@ struct PanelPool {
   std::vector<float> act[4];
   std::vector<std::vector<float>> wcopies;
   std::size_t wcopy_next = 0;
-  nn::Workspace ws;
 
   Tensor view(int slot, const Shape& shape) {
     std::vector<float>& buf = act[slot];
@@ -227,7 +223,7 @@ void run_clean(nn::Layer& layer, Panel& p) {
     return;
   }
   Tensor out = p.next(out_shape);
-  layer.forward_into(p.act, out, p.pool->ws);
+  layer.forward_into(p.act, out);
   p.act = std::move(out);
 }
 
@@ -328,22 +324,6 @@ bool kind_supported(const std::string& kind) {
          kind == "dense" || kind == "block" || kind == "dropout";
 }
 
-// Registry counters shared with the sequential path (same names, same
-// counter objects — the registry is keyed by name).
-struct EvalMetrics {
-  obs::Counter& full = obs::MetricsRegistry::global().counter("eval.full");
-  obs::Counter& truncated =
-      obs::MetricsRegistry::global().counter("eval.truncated");
-  obs::Counter& layers_run =
-      obs::MetricsRegistry::global().counter("eval.layers_run");
-  obs::Counter& layers_total =
-      obs::MetricsRegistry::global().counter("eval.layers_total");
-  static EvalMetrics& get() {
-    static EvalMetrics m;
-    return m;
-  }
-};
-
 }  // namespace
 
 // One mask prepared for the widened forward: its split by site kind plus its
@@ -355,8 +335,8 @@ struct MultiMaskEvaluator::Variant {
   std::map<std::int64_t, std::vector<ParamFlip>> layer_flips;
 };
 
-// Grow-once storage (panel slots, weight copies, layer workspace) persisted
-// for the evaluator's lifetime.
+// Grow-once storage (panel slots, weight copies) persisted for the
+// evaluator's lifetime.
 struct MultiMaskEvaluator::Pool {
   PanelPool p;
 };
@@ -532,71 +512,20 @@ void MultiMaskEvaluator::evaluate_chunk(std::span<Variant> chunk,
     }
   }
 
-  // Per-variant outcome scan, mirroring evaluate_mask exactly. ABFT is off
-  // and guards are absent on this path (batchable()), so the self-checking
-  // deltas are zero and kCorrected cannot occur.
+  // Per-variant outcome through the sequential path's classifier. ABFT is
+  // off and guards are absent on this path (batchable()), so the
+  // self-checking deltas stay zero and kCorrected cannot occur.
   BDLFI_CHECK(p.act.shape().rank() == 2);
   const std::int64_t classes = p.act.shape()[1];
-  const auto scan = tensor::backend::active().argmax_finite_row;
   for (std::size_t v = 0; v < k; ++v) {
-    const float* rows =
-        p.act.data() +
-        (p.uniform ? 0 : static_cast<std::int64_t>(v) * n_eval * classes);
-    MaskOutcome o;
+    const std::int64_t row0 =
+        p.uniform ? 0 : static_cast<std::int64_t>(v) * n_eval;
+    MaskOutcome& o = out[chunk[v].index];
     o.flipped_bits = chunk[v].flips_total;
-    std::size_t miss = 0, dev = 0, detected = 0, sdc = 0;
-    for (std::int64_t i = 0; i < n_eval; ++i) {
-      const float* row = rows + i * classes;
-      std::int64_t best = 0;
-      bool finite = false;
-      scan(row, classes, &best, &finite);
-      const auto s = static_cast<std::size_t>(i);
-      const bool deviated = best != net_.golden_preds_[s];
-      if (best != net_.eval_labels_[s]) ++miss;
-      if (deviated) ++dev;
-      if (!finite) {
-        ++detected;
-      } else if (deviated) {
-        ++sdc;
-      }
-    }
-    const auto n = static_cast<double>(n_eval);
-    o.classification_error = 100.0 * static_cast<double>(miss) / n;
-    o.deviation = 100.0 * static_cast<double>(dev) / n;
-    o.detected = 100.0 * static_cast<double>(detected) / n;
-    o.sdc = 100.0 * static_cast<double>(sdc) / n;
-    if (detected > 0) {
-      o.outcome = FaultOutcome::kDetected;
-    } else if (dev > 0) {
-      o.outcome = FaultOutcome::kSdc;
-    } else {
-      o.outcome = FaultOutcome::kMasked;
-    }
-    out[chunk[v].index] = o;
+    net_.classify(p.act.data() + row0 * classes, classes, o);
   }
-
   // Truncated-replay accounting: one entry per mask, as if evaluated alone.
-  const std::size_t ran =
-      depth - (begin > 0 ? static_cast<std::size_t>(begin) : 0);
-  for (std::size_t v = 0; v < k; ++v) {
-    if (begin > 0) {
-      ++net_.eval_stats_.truncated_evals;
-    } else {
-      ++net_.eval_stats_.full_evals;
-    }
-    net_.eval_stats_.layers_run += ran;
-    net_.eval_stats_.layers_total += depth;
-  }
-  if (obs::enabled()) {
-    EvalMetrics& m = EvalMetrics::get();
-    if (begin > 0) {
-      m.truncated.add(k);
-    } else {
-      m.full.add(k);
-    }
-    m.layers_run.add(k * ran);
-    m.layers_total.add(k * depth);
-  }
+  net_.record_evals(begin, k);
 }
 
 }  // namespace bdlfi::bayes

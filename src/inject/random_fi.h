@@ -22,7 +22,8 @@ struct RandomFiConfig {
   /// Parallel workers (0 = one replica per hardware thread).
   std::size_t workers = 0;
   /// Each worker samples up to this many masks ahead, then evaluates them in
-  /// one batched multi-mask pass (BayesianFaultNetwork::evaluate_masks).
+  /// one batched multi-mask pass
+  /// (BayesianFaultNetwork::evaluate(EvalRequest)).
   /// Bit-identical to one-at-a-time evaluation: sampling never reads the
   /// evaluation results, so reordering sample/evaluate leaves the RNG stream
   /// and every outcome unchanged. 1 disables batching.

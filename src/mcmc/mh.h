@@ -24,8 +24,8 @@ struct MhConfig {
   double w_independence = 0.2;
   std::size_t block_size = 8;
   /// Retained-sample evaluations are deferred and flushed through the batched
-  /// multi-mask path (BayesianFaultNetwork::evaluate_masks) in groups of this
-  /// size. Results are bit-identical to evaluating each retained sample
+  /// multi-mask path (BayesianFaultNetwork::evaluate(EvalRequest)) in groups
+  /// of this size. Results are bit-identical to evaluating each retained sample
   /// inline — the outcome of a retained eval never feeds back into the chain
   /// (the network returns to golden state and the RNG is untouched), so
   /// deferral only changes when the forwards run, not what they compute.

@@ -78,8 +78,7 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool training) {
   return y;
 }
 
-void BatchNorm2d::forward_into(const Tensor& in, Tensor& out,
-                               Workspace& /*ws*/) {
+void BatchNorm2d::forward_into(const Tensor& in, Tensor& out) {
   BDLFI_CHECK(in.shape().rank() == 4 && in.shape()[1] == channels_);
   BDLFI_CHECK(in.numel() == out.numel());
   const std::int64_t n = in.shape()[0], c = in.shape()[1], h = in.shape()[2],

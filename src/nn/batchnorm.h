@@ -18,7 +18,7 @@ class BatchNorm2d : public Layer {
 
   std::string kind() const override { return "bn"; }
   Tensor forward(const Tensor& x, bool training) override;
-  void forward_into(const Tensor& in, Tensor& out, Workspace& ws) override;
+  void forward_into(const Tensor& in, Tensor& out) override;
   bool inplace_capable() const override { return true; }
   Tensor backward(const Tensor& grad_output) override;
   void collect_params(const std::string& prefix,

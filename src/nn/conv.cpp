@@ -49,7 +49,7 @@ Tensor Conv2d::forward(const Tensor& x, bool training) {
   return tensor::conv2d_forward(x, weight_, bias_, spec_);
 }
 
-void Conv2d::forward_into(const Tensor& in, Tensor& out, Workspace& /*ws*/) {
+void Conv2d::forward_into(const Tensor& in, Tensor& out) {
   BDLFI_CHECK(in.shape().rank() == 4 && in.shape()[1] == in_channels_);
   if (compute_ctx_ != nullptr) {
     tensor::conv2d_forward_into(in, weight_, bias_, spec_, *compute_ctx_, out);

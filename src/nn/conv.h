@@ -20,7 +20,7 @@ class Conv2d : public Layer {
 
   std::string kind() const override { return "conv"; }
   Tensor forward(const Tensor& x, bool training) override;
-  void forward_into(const Tensor& in, Tensor& out, Workspace& ws) override;
+  void forward_into(const Tensor& in, Tensor& out) override;
   Tensor backward(const Tensor& grad_output) override;
   void collect_params(const std::string& prefix,
                       std::vector<ParamRef>& out) override;

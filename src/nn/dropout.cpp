@@ -30,7 +30,7 @@ Tensor Dropout::forward(const Tensor& x, bool training) {
   return y;
 }
 
-void Dropout::forward_into(const Tensor& in, Tensor& out, Workspace& /*ws*/) {
+void Dropout::forward_into(const Tensor& in, Tensor& out) {
   // Planned execution is eval-mode and plan_eval_safe() gates out MC mode,
   // so this is always the identity pass.
   BDLFI_CHECK(!mc_mode_);

@@ -27,7 +27,7 @@ class Dropout : public Layer {
   /// Eval mode: identity — unless mc_mode(true) was set, in which case the
   /// layer keeps sampling (MC-Dropout predictive sampling).
   Tensor forward(const Tensor& x, bool training) override;
-  void forward_into(const Tensor& in, Tensor& out, Workspace& ws) override;
+  void forward_into(const Tensor& in, Tensor& out) override;
   bool inplace_capable() const override { return true; }
   /// MC mode draws from the layer's RNG on every eval forward — the plan's
   /// shape probe would perturb the stream, so MC networks take the legacy

@@ -50,12 +50,6 @@ struct ParamRef {
   Tensor* grad = nullptr;
 };
 
-/// Per-execution scratch passed through planned forwards (full definition in
-/// nn/plan.h). Built-in layers keep their scratch thread-local or in the
-/// plan's arena; the workspace exists so custom layers can stage without
-/// allocating per eval.
-struct Workspace;
-
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -74,7 +68,7 @@ class Layer {
   /// a compatibility shim (run the allocating forward(), copy the result), so
   /// custom layers stay correct under planned execution — just not
   /// allocation-free until they override.
-  virtual void forward_into(const Tensor& in, Tensor& out, Workspace& ws);
+  virtual void forward_into(const Tensor& in, Tensor& out);
 
   /// True when forward_into tolerates out.data() == in.data(). Pure
   /// elementwise layers say yes so the plan can collapse their slot onto the

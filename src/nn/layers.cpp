@@ -28,7 +28,7 @@ std::int64_t Layer::num_params() {
   return n;
 }
 
-void Layer::forward_into(const Tensor& in, Tensor& out, Workspace& /*ws*/) {
+void Layer::forward_into(const Tensor& in, Tensor& out) {
   // Compatibility shim: layers without a slot-aware override still run under
   // a plan, paying one allocation per step. Shapes may legitimately differ
   // (flatten-style layers); element counts must not.
@@ -78,7 +78,7 @@ Tensor Dense::forward(const Tensor& x, bool training) {
   return y;
 }
 
-void Dense::forward_into(const Tensor& in, Tensor& out, Workspace& /*ws*/) {
+void Dense::forward_into(const Tensor& in, Tensor& out) {
   BDLFI_CHECK(in.shape().rank() == 2 && in.shape()[1] == in_);
   const std::int64_t n = in.shape()[0];
   BDLFI_CHECK(out.shape() == Shape({n, out_}));
@@ -147,7 +147,7 @@ Tensor ReLU::forward(const Tensor& x, bool training) {
   return y;
 }
 
-void ReLU::forward_into(const Tensor& in, Tensor& out, Workspace& /*ws*/) {
+void ReLU::forward_into(const Tensor& in, Tensor& out) {
   BDLFI_CHECK(in.numel() == out.numel());
   if (out.data() != in.data()) {
     std::copy_n(in.data(), static_cast<std::size_t>(in.numel()), out.data());
@@ -172,7 +172,7 @@ Tensor Flatten::forward(const Tensor& x, bool training) {
   return x.reshaped(Shape{n, x.numel() / n});
 }
 
-void Flatten::forward_into(const Tensor& in, Tensor& out, Workspace& /*ws*/) {
+void Flatten::forward_into(const Tensor& in, Tensor& out) {
   BDLFI_CHECK(in.numel() == out.numel());
   // Pure reshape: when the plan aliases the slots this is a no-op; a copy
   // only happens when the input arrives externally (truncated replay).
@@ -192,8 +192,7 @@ Tensor MaxPool2d::forward(const Tensor& x, bool training) {
   return tensor::maxpool2d_forward(x, kernel_, argmax_);
 }
 
-void MaxPool2d::forward_into(const Tensor& in, Tensor& out,
-                             Workspace& /*ws*/) {
+void MaxPool2d::forward_into(const Tensor& in, Tensor& out) {
   // Eval-only path: the argmax record exists for backward, which planned
   // execution never runs.
   tensor::maxpool2d_forward_into(in, kernel_, out, nullptr);
@@ -210,8 +209,7 @@ Tensor GlobalAvgPool::forward(const Tensor& x, bool training) {
   return tensor::global_avgpool_forward(x);
 }
 
-void GlobalAvgPool::forward_into(const Tensor& in, Tensor& out,
-                                 Workspace& /*ws*/) {
+void GlobalAvgPool::forward_into(const Tensor& in, Tensor& out) {
   tensor::global_avgpool_forward_into(in, out);
 }
 

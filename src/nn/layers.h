@@ -14,7 +14,7 @@ class Dense : public Layer {
 
   std::string kind() const override { return "dense"; }
   Tensor forward(const Tensor& x, bool training) override;
-  void forward_into(const Tensor& in, Tensor& out, Workspace& ws) override;
+  void forward_into(const Tensor& in, Tensor& out) override;
   Tensor backward(const Tensor& grad_output) override;
   void collect_params(const std::string& prefix,
                       std::vector<ParamRef>& out) override;
@@ -42,7 +42,7 @@ class ReLU : public Layer {
  public:
   std::string kind() const override { return "relu"; }
   Tensor forward(const Tensor& x, bool training) override;
-  void forward_into(const Tensor& in, Tensor& out, Workspace& ws) override;
+  void forward_into(const Tensor& in, Tensor& out) override;
   bool inplace_capable() const override { return true; }
   Tensor backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override {
@@ -58,7 +58,7 @@ class Flatten : public Layer {
  public:
   std::string kind() const override { return "flatten"; }
   Tensor forward(const Tensor& x, bool training) override;
-  void forward_into(const Tensor& in, Tensor& out, Workspace& ws) override;
+  void forward_into(const Tensor& in, Tensor& out) override;
   bool inplace_capable() const override { return true; }
   Tensor backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override {
@@ -76,7 +76,7 @@ class MaxPool2d : public Layer {
   std::string kind() const override { return "maxpool"; }
   std::int64_t kernel() const { return kernel_; }
   Tensor forward(const Tensor& x, bool training) override;
-  void forward_into(const Tensor& in, Tensor& out, Workspace& ws) override;
+  void forward_into(const Tensor& in, Tensor& out) override;
   Tensor backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<MaxPool2d>(kernel_);
@@ -93,7 +93,7 @@ class GlobalAvgPool : public Layer {
  public:
   std::string kind() const override { return "avgpool"; }
   Tensor forward(const Tensor& x, bool training) override;
-  void forward_into(const Tensor& in, Tensor& out, Workspace& ws) override;
+  void forward_into(const Tensor& in, Tensor& out) override;
   Tensor backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<GlobalAvgPool>();

@@ -6,7 +6,6 @@
 #include "nn/plan.h"
 #include "tensor/ops.h"
 #include "util/check.h"
-#include "util/stopwatch.h"
 
 namespace bdlfi::nn {
 
@@ -34,7 +33,7 @@ Tensor Network::forward_from(std::size_t first_layer, Tensor act,
                              bool training, const ActivationHook& hook) {
   BDLFI_CHECK_MSG(first_layer <= layers_.size(),
                   "forward_from past the end of the network");
-  if (!training && planned_ && first_layer < layers_.size()) {
+  if (!training && first_layer < layers_.size()) {
     if (const Tensor* out = planned_forward(first_layer, act, hook)) {
       return *out;  // deep copy: the arena view materializes to owned storage
     }
@@ -46,7 +45,7 @@ const Tensor& Network::forward_view(std::size_t first_layer, const Tensor& act,
                                     const ActivationHook& hook) {
   BDLFI_CHECK_MSG(first_layer <= layers_.size(),
                   "forward_view past the end of the network");
-  if (planned_ && first_layer < layers_.size()) {
+  if (first_layer < layers_.size()) {
     if (const Tensor* out = planned_forward(first_layer, act, hook)) {
       return *out;
     }
@@ -76,11 +75,6 @@ const Tensor* Network::planned_forward(std::size_t first_layer,
   if (plans_.size() >= kMaxPlans) plans_.erase(plans_.begin());
   plans_.push_back(ExecutionPlan::compile(*this, act));
   return &plans_.back()->run(*this, first_layer, act, hook, fuse_);
-}
-
-void Network::set_planned(bool on) {
-  planned_ = on;
-  if (!on) plans_.clear();
 }
 
 const ExecutionPlan* Network::plan_for(const Shape& shape) const {
@@ -115,16 +109,6 @@ Tensor Network::forward_from_legacy(std::size_t first_layer, Tensor act,
     layers_[i].entry->set_compute_context(nullptr);
     return out;
   };
-  if (profile_) {
-    for (std::size_t i = first_layer; i < layers_.size(); ++i) {
-      const util::Stopwatch timer;
-      act = checked ? run_checked(i) : layers_[i].entry->forward(act, training);
-      layer_seconds_[i] += timer.seconds();
-      ++layer_calls_[i];
-      if (hook) hook(i, act);
-    }
-    return act;
-  }
   if (checked) {
     for (std::size_t i = first_layer; i < layers_.size(); ++i) {
       act = run_checked(i);
@@ -155,40 +139,6 @@ tensor::abft::Stats& Network::abft_stats() const {
     abft_stats_ = std::make_unique<tensor::abft::Stats>();
   }
   return *abft_stats_;
-}
-
-void Network::set_layer_profiling(bool on) {
-  // Plans snapshot the profiling flag at compile time; invalidate them on any
-  // change so a mid-campaign toggle recompiles instead of mixing timed and
-  // untimed step lists (which previously double-counted fused/replayed
-  // steps). See the header for the full semantics.
-  if (profile_ != on) plans_.clear();
-  profile_ = on;
-  if (on && layer_seconds_.size() != layers_.size()) {
-    layer_seconds_.assign(layers_.size(), 0.0);
-    layer_calls_.assign(layers_.size(), 0);
-  }
-}
-
-std::vector<Network::LayerTiming> Network::layer_profile() const {
-  std::vector<LayerTiming> out;
-  out.reserve(layers_.size());
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    LayerTiming t;
-    t.name = layers_[i].name;
-    t.kind = layers_[i].entry->kind();
-    if (i < layer_seconds_.size()) {
-      t.seconds = layer_seconds_[i];
-      t.calls = layer_calls_[i];
-    }
-    out.push_back(std::move(t));
-  }
-  return out;
-}
-
-void Network::reset_layer_profile() {
-  layer_seconds_.assign(layers_.size(), 0.0);
-  layer_calls_.assign(layers_.size(), 0);
 }
 
 Tensor Network::backward(const Tensor& grad_logits) {
@@ -239,13 +189,11 @@ Network Network::clone() const {
   }
   // ABFT is a deployment property of the network, so replicas keep it; the
   // counters and any installed compute-fault plan are per-instance state and
-  // start fresh (stats at zero, no plan). Planned execution and eval fusion
-  // are deployment properties too, but compiled ExecutionPlans are not
-  // copied: each replica compiles its own and therefore owns an independent
-  // arena.
+  // start fresh (stats at zero, no plan). Eval fusion is a deployment
+  // property too, but compiled ExecutionPlans are not copied: each replica
+  // compiles its own and therefore owns an independent arena.
   copy.abft_ = abft_;
   copy.abft_layers_ = abft_layers_;
-  copy.planned_ = planned_;
   copy.fuse_ = fuse_;
   return copy;
 }

@@ -49,6 +49,10 @@ class Network {
       std::function<void(std::size_t layer_index, Tensor& activation)>;
 
   /// Forward pass. `training` enables backward caches and batch-stat BN.
+  /// Eval-mode forwards run through a compiled ExecutionPlan (pre-sized
+  /// arena buffers, no per-eval allocations), bit-exact with the legacy
+  /// layer loop when fusion is off. Training forwards, MC-dropout networks,
+  /// and calibrating range guards take the legacy loop.
   Tensor forward(const Tensor& x, bool training = false,
                  const ActivationHook& hook = nullptr);
 
@@ -73,20 +77,12 @@ class Network {
   const Tensor& forward_view(std::size_t first_layer, const Tensor& act,
                              const ActivationHook& hook = nullptr);
 
-  /// Planned execution toggle (default on). Eval-mode forwards compile an
-  /// ExecutionPlan on first use — pre-sized arena buffers, no per-eval
-  /// allocations — and are bit-exact with the legacy path when fusion is off.
-  /// Training forwards, MC-dropout networks, and calibrating range guards
-  /// always take the legacy path regardless.
-  void set_planned(bool on);
-  bool planned() const { return planned_; }
-
   /// Eval-mode fusion (default off; the --no-fuse escape hatch maps to
   /// set_eval_fusion(false)). Folds BN into conv weights inside residual
   /// blocks and elides dense+relu pairs. BN folding changes rounding relative
   /// to the unfused path (documented tolerance in DESIGN.md §13); dense+relu
   /// elision is bit-exact. A deployment property: clone() copies it. Ignored
-  /// for checked (ABFT/compute-fault) and profiled forwards.
+  /// for checked (ABFT/compute-fault) forwards.
   void set_eval_fusion(bool on) { fuse_ = on; }
   bool eval_fusion() const { return fuse_; }
 
@@ -125,28 +121,6 @@ class Network {
 
   /// One-line-per-layer summary (name, kind, #params).
   std::string summary();
-
-  /// Optional per-layer forward timing. Off by default (zero overhead); when
-  /// on, every forward/forward_from accumulates wall time per layer. Not
-  /// copied by clone(). Not thread-safe: profile a network from one thread.
-  ///
-  /// Interaction with planned execution: the flag is snapshotted when a plan
-  /// is compiled, and toggling it invalidates compiled plans. This makes
-  /// mid-campaign toggles well-defined — a layer is timed exactly once per
-  /// forward from the next forward onward, never double-counted across
-  /// fused/replayed steps. Accumulated seconds/calls survive re-enabling
-  /// (use reset_layer_profile() to zero them).
-  void set_layer_profiling(bool on);
-  bool layer_profiling() const { return profile_; }
-  struct LayerTiming {
-    std::string name;
-    std::string kind;
-    double seconds = 0.0;
-    std::size_t calls = 0;
-  };
-  /// One entry per layer (zeros for layers never executed while profiling).
-  std::vector<LayerTiming> layer_profile() const;
-  void reset_layer_profile();
 
   /// ABFT self-checking deployment for this network's GEMM-bearing layers
   /// (DESIGN.md §9). A *deployment property*: clone() copies it, so every
@@ -195,9 +169,6 @@ class Network {
                              bool training, const ActivationHook& hook);
 
   std::vector<Entry> layers_;
-  bool profile_ = false;
-  std::vector<double> layer_seconds_;
-  std::vector<std::size_t> layer_calls_;
   tensor::abft::Config abft_;
   std::vector<std::size_t> abft_layers_;  // sorted; empty = all layers
   mutable std::unique_ptr<tensor::abft::Stats> abft_stats_;
@@ -206,7 +177,6 @@ class Network {
   // cache: oldest evicted). Per-instance — clones compile their own plans and
   // therefore own independent arenas.
   std::vector<std::unique_ptr<ExecutionPlan>> plans_;
-  bool planned_ = true;
   bool fuse_ = false;
   Tensor fallback_logits_;  // forward_view storage on the legacy path
 };

@@ -6,7 +6,6 @@
 #include "nn/resblock.h"
 #include "tensor/ops.h"
 #include "util/check.h"
-#include "util/stopwatch.h"
 
 namespace bdlfi::nn {
 
@@ -36,7 +35,6 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::compile(Network& net,
                                                       const Tensor& probe) {
   BDLFI_CHECK_MSG(net.num_layers() > 0, "plan compile on empty network");
   std::unique_ptr<ExecutionPlan> plan(new ExecutionPlan);
-  plan->profile_ = net.profile_;
 
   // Probe: one legacy eval forward records every layer-boundary shape. This
   // works for any Layer subclass (custom layers included) without requiring a
@@ -272,10 +270,10 @@ void ExecutionPlan::exec_step(Step& s, const Tensor& group_in, bool checked,
         // Block-inner layers inherit the deployment minus the flip list,
         // matching BasicBlock::forward's inner-context handoff.
         s.layer->set_compute_context(s.block_inner ? inner_ctx : ctx);
-        s.layer->forward_into(in, s.out_view, ws_);
+        s.layer->forward_into(in, s.out_view);
         s.layer->set_compute_context(nullptr);
       } else {
-        s.layer->forward_into(in, s.out_view, ws_);
+        s.layer->forward_into(in, s.out_view);
       }
       break;
     case Step::Op::kFoldedConv: {
@@ -286,7 +284,7 @@ void ExecutionPlan::exec_step(Step& s, const Tensor& group_in, bool checked,
       break;
     }
     case Step::Op::kDenseRelu:
-      s.layer->forward_into(in, s.out_view, ws_);
+      s.layer->forward_into(in, s.out_view);
       tensor::relu_inplace(s.out_view);
       break;
     case Step::Op::kAdd:
@@ -306,9 +304,8 @@ const Tensor& ExecutionPlan::run(Network& net, std::size_t first_layer,
   const bool checked =
       net.abft_.mode != tensor::abft::Mode::kOff ||
       (net.compute_plan_ != nullptr && !net.compute_plan_->empty());
-  // Checked runs need the per-layer contexts of the unfused lowering;
-  // profiled runs keep per-layer attribution meaningful. Both force unfused.
-  const bool use_fused = fuse && !checked && !profile_;
+  // Checked runs need the per-layer contexts of the unfused lowering.
+  const bool use_fused = fuse && !checked;
   if (use_fused && !folds_.empty()) refold_all();
 
   std::size_t g = first_layer;
@@ -347,14 +344,7 @@ const Tensor& ExecutionPlan::run(Network& net, std::size_t first_layer,
 
     std::vector<Step>& steps =
         (use_fused && !grp.fused.empty()) ? grp.fused : grp.steps;
-    if (profile_) {
-      const util::Stopwatch timer;
-      for (Step& s : steps) exec_step(s, gin, checked, &ctx, inner_ptr);
-      net.layer_seconds_[grp.layer] += timer.seconds();
-      ++net.layer_calls_[grp.layer];
-    } else {
-      for (Step& s : steps) exec_step(s, gin, checked, &ctx, inner_ptr);
-    }
+    for (Step& s : steps) exec_step(s, gin, checked, &ctx, inner_ptr);
     if (hook) hook(grp.layer, grp.out_view);
     ++g;
   }

@@ -28,8 +28,8 @@
 // same (folded) arithmetic and fault-free runs stay SDC-free. Top-level
 // dense+relu pairs are additionally elided into one step when no hook is
 // installed — that fusion is bit-exact (relu runs in place on the dense
-// output), so it needs no tolerance. Checked (ABFT / compute-fault) and
-// profiled runs always take the unfused steps.
+// output), so it needs no tolerance. Checked (ABFT / compute-fault) runs
+// always take the unfused steps.
 //
 // Thread safety: a plan owns one arena; run() is single-threaded per network
 // instance, like the legacy forward (kernels still parallelize internally).
@@ -49,12 +49,6 @@ class BasicBlock;
 class BatchNorm2d;
 class Conv2d;
 
-/// Per-forward scratch handed to Layer::forward_into. Grow-once: custom
-/// layers may stage into `scratch` instead of allocating.
-struct Workspace {
-  std::vector<float> scratch;
-};
-
 /// Folds an eval-mode BatchNorm into the preceding convolution/dense weights:
 ///   scale[o] = gamma[o] / sqrt(running_var[o] + eps)
 ///   Wf[o,..] = W[o,..] * scale[o]
@@ -70,9 +64,7 @@ class ExecutionPlan {
  public:
   /// Compiles a plan for `net` by probing one legacy eval forward with
   /// `probe_input` (shapes are recorded; no layer state is perturbed — the
-  /// caller must have verified plan_eval_safe() on every layer). The
-  /// profiling flag is snapshotted here: toggling Network profiling
-  /// invalidates the plan rather than changing a compiled one mid-campaign.
+  /// caller must have verified plan_eval_safe() on every layer).
   static std::unique_ptr<ExecutionPlan> compile(Network& net,
                                                 const Tensor& probe_input);
 
@@ -84,12 +76,9 @@ class ExecutionPlan {
   /// Runs layers [first_layer, end). `input` is the activation entering
   /// `first_layer`. Returns a borrowed view of the logits arena slot — valid
   /// until the next run() or plan destruction; copy to keep. `fuse` requests
-  /// the fused lowering (ignored for checked or profiled execution).
+  /// the fused lowering (ignored for checked execution).
   const Tensor& run(Network& net, std::size_t first_layer, const Tensor& input,
                     const Network::ActivationHook& hook, bool fuse);
-
-  /// Profiling state captured at compile time (see Network::set_layer_profiling).
-  bool profiling_snapshot() const { return profile_; }
 
   /// Arena capacity in floats — the planned high-water mark.
   std::size_t arena_floats() const { return arena_.size(); }
@@ -103,7 +92,7 @@ class ExecutionPlan {
 
   struct Step {
     enum class Op {
-      kForwardInto,  // layer->forward_into(in, out, ws)
+      kForwardInto,  // layer->forward_into(in, out)
       kFoldedConv,   // conv with BN-folded weights; optional fused relu
       kDenseRelu,    // dense forward_into then relu in place (bit-exact)
       kAdd,          // out += in (residual join; in may be the group input)
@@ -137,8 +126,8 @@ class ExecutionPlan {
     std::vector<Step> steps;  // unfused lowering (always present)
     std::vector<Step> fused;  // fused lowering (empty: use steps)
     // Exact multi-group elision (dense+relu): when span_len > 1 and fusion is
-    // on with no hook and no profiling, span_steps replaces this group and
-    // the next span_len - 1 groups.
+    // on with no hook, span_steps replaces this group and the next
+    // span_len - 1 groups.
     std::size_t span_len = 1;
     std::vector<Step> span_steps;
   };
@@ -154,13 +143,11 @@ class ExecutionPlan {
                  const tensor::abft::OpContext* ctx,
                  const tensor::abft::OpContext* inner_ctx);
 
-  bool profile_ = false;
   std::vector<Group> groups_;
   std::vector<Fold> folds_;
   std::vector<std::int64_t> buffer_sizes_;  // floats, high-water per buffer
   std::vector<std::size_t> buffer_offsets_;
   Arena arena_;
-  Workspace ws_;
 };
 
 }  // namespace bdlfi::nn

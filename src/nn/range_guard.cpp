@@ -54,8 +54,7 @@ Tensor RangeGuard::forward(const Tensor& x, bool /*training*/) {
   return y;
 }
 
-void RangeGuard::forward_into(const Tensor& in, Tensor& out,
-                              Workspace& /*ws*/) {
+void RangeGuard::forward_into(const Tensor& in, Tensor& out) {
   BDLFI_CHECK(!calibrating_);  // plan_eval_safe() keeps calibration legacy
   BDLFI_CHECK(in.numel() == out.numel());
   if (!calibrated_) {  // never calibrated: transparent

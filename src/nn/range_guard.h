@@ -26,7 +26,7 @@ class RangeGuard : public Layer {
 
   std::string kind() const override { return "guard"; }
   Tensor forward(const Tensor& x, bool training) override;
-  void forward_into(const Tensor& in, Tensor& out, Workspace& ws) override;
+  void forward_into(const Tensor& in, Tensor& out) override;
   bool inplace_capable() const override { return true; }
   /// Calibration records state per forward; route it through the legacy path
   /// so the plan's shape probe cannot double-record.

@@ -26,6 +26,9 @@ struct PoolMetrics {
   }
 };
 
+// True on pool worker threads; a parallel_for issued there runs inline.
+thread_local bool t_pool_worker = false;
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
@@ -66,6 +69,7 @@ void ThreadPool::wait_idle() {
 }
 
 void ThreadPool::worker_loop() {
+  t_pool_worker = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -125,7 +129,7 @@ void parallel_for(std::size_t begin, std::size_t end,
   if (begin >= end) return;
   if (pool == nullptr) pool = &ThreadPool::global();
   const std::size_t n = end - begin;
-  if (n <= 1 || pool->size() == 1) {
+  if (n <= 1 || pool->size() == 1 || t_pool_worker) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
@@ -146,12 +150,19 @@ void parallel_for_chunked(
   if (pool == nullptr) pool = &ThreadPool::global();
   const std::size_t n = end - begin;
   num_chunks = std::min(num_chunks, n);
-  if (num_chunks == 1) {
-    fn(0, begin, end);
-    return;
-  }
   const std::size_t base = n / num_chunks;
   const std::size_t extra = n % num_chunks;
+  if (num_chunks == 1 || t_pool_worker) {
+    // Nested (or trivial) call: the outermost parallel_for owns the cores,
+    // so run the same partition inline, chunk ids unchanged.
+    std::size_t lo = begin;
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      const std::size_t hi = lo + base + (c < extra ? 1 : 0);
+      fn(c, lo, hi);
+      lo = hi;
+    }
+    return;
+  }
   // A dedicated latch-like barrier: reuse the pool's wait_idle would race with
   // other concurrent users, so count completions locally.
   std::mutex mu;

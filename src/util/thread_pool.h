@@ -6,6 +6,14 @@
 // Reproducibility note: callers that need determinism must derive one RNG
 // stream per *index range* (not per thread); `parallel_for_chunked` exposes
 // the chunk id for exactly that purpose.
+//
+// Parallelism rule: the outermost `parallel_for` owns the cores. A
+// `parallel_for` / `parallel_for_chunked` issued from inside a pool task (MCMC
+// chains → per-sample conv → row-split GEMM) runs inline on the calling
+// worker instead of queueing behind the outer chunks, so nesting can never
+// park every worker on a latch whose tasks no worker will run. The inline
+// form walks the same partition with the same chunk ids, so per-chunk RNG
+// streams — and every result — are identical at any nesting depth.
 #pragma once
 
 #include <condition_variable>
@@ -61,14 +69,17 @@ class ThreadPool {
 };
 
 /// Runs fn(i) for i in [begin, end) across the pool; blocks until done.
-/// Falls back to the calling thread for tiny ranges.
+/// Falls back to the calling thread for tiny ranges and when called from a
+/// pool worker (see the parallelism rule above).
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   ThreadPool* pool = nullptr);
 
 /// Runs fn(chunk_id, chunk_begin, chunk_end) over a static partition of
 /// [begin, end) into `num_chunks` contiguous ranges. chunk_id is stable across
-/// runs and thread counts, so per-chunk RNG streams give deterministic output.
+/// runs, thread counts and nesting depth (a call from a pool worker runs the
+/// chunks inline, in order), so per-chunk RNG streams give deterministic
+/// output.
 void parallel_for_chunked(std::size_t begin, std::size_t end,
                           std::size_t num_chunks,
                           const std::function<void(std::size_t, std::size_t,

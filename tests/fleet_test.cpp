@@ -4,6 +4,7 @@
 // result, retry exhaustion quarantines the campaign without failing the rest,
 // and a held lock rejects a second campaign on the same checkpoint dir.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -307,8 +308,11 @@ class FleetRunTest : public ::testing::Test {
     config.lr = 0.05;
     config.seed = 3;
     train::fit(net, all, all, config);
-    ckpt_path_ = new std::string(::testing::TempDir() +
-                                 "bdlfi_fleet_golden.ckpt");
+    // Per-process path: ctest runs each TEST in its own process, so a shared
+    // name would let one process's TearDownTestSuite delete the checkpoint
+    // while a sibling's fleet workers are still loading it.
+    ckpt_path_ = new std::string(::testing::TempDir() + "bdlfi_fleet_golden_" +
+                                 std::to_string(::getpid()) + ".ckpt");
     ASSERT_TRUE(nn::save_checkpoint(net, *ckpt_path_));
   }
   static void TearDownTestSuite() {

@@ -15,6 +15,7 @@
 #include "nn/builders.h"
 #include "train/trainer.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace bdlfi::mcmc {
 namespace {
@@ -231,6 +232,51 @@ TEST_F(McmcTest, CompletenessConvergesOnEasyTarget) {
   for (std::size_t i = 1; i < result.trajectory.size(); ++i) {
     EXPECT_GT(result.trajectory[i].cumulative_samples,
               result.trajectory[i - 1].cumulative_samples);
+  }
+}
+
+// One chain per pool worker with batched retained evals. Every worker runs a
+// chain, and with 600 eval samples each forward through the 16->32 dense
+// layer is a GEMM large enough (m*n*k >= 2^18) to row-split through the same
+// pool from inside a chain. The nested split must run inline on the chain's
+// worker (the outermost parallel_for owns the cores) rather than queue behind
+// chains that are waiting on it.
+TEST(CompletenessAtPoolWidth, BatchedMlpCampaignCompletesAndReruns) {
+  util::Rng data_rng{31};
+  data::Dataset data = data::make_two_moons(600, 0.08, data_rng);
+  util::Rng init{32};
+  nn::Network net = nn::make_mlp({2, 16, 32, 2}, init);
+  bayes::BayesianFaultNetwork bfn(net, bayes::TargetSpec::all_parameters(),
+                                  fault::AvfProfile::uniform(), data.inputs,
+                                  data.labels);
+  const double p = 1e-4;  // ~2 flips per mask: most evals reach the GEMM
+  RunnerConfig config;
+  config.num_chains = util::ThreadPool::global().size();
+  config.mh.samples = 64;
+  config.mh.burn_in = 16;
+  config.mh.mask_batch = 8;
+  config.seed = 31;
+  TargetFactory factory = [p](bayes::BayesianFaultNetwork& replica) {
+    return std::make_unique<bayes::PriorTarget>(replica, p);
+  };
+  CompletenessCriterion criterion;
+  criterion.max_rounds = 2;
+  const CompletenessResult a =
+      run_until_complete(bfn, factory, p, config, criterion);
+  const CompletenessResult b =
+      run_until_complete(bfn, factory, p, config, criterion);
+  ASSERT_GE(a.rounds, 1u);
+  EXPECT_EQ(a.final_result.total_samples,
+            a.rounds * config.num_chains * config.mh.samples);
+  EXPECT_EQ(a.rounds, b.rounds);
+  ASSERT_EQ(a.final_result.chains.size(), b.final_result.chains.size());
+  for (std::size_t c = 0; c < a.final_result.chains.size(); ++c) {
+    const ChainResult& ca = a.final_result.chains[c];
+    const ChainResult& cb = b.final_result.chains[c];
+    EXPECT_EQ(ca.error_samples, cb.error_samples);
+    EXPECT_EQ(ca.deviation_samples, cb.deviation_samples);
+    EXPECT_EQ(ca.flips_samples, cb.flips_samples);
+    EXPECT_EQ(ca.rng_state, cb.rng_state);
   }
 }
 

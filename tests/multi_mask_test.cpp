@@ -1,6 +1,6 @@
 // Batched multi-mask evaluation must be indistinguishable from sequential
 // evaluation: for every target kind, batch size, and kernel backend, the
-// outcomes returned by BayesianFaultNetwork::evaluate_masks are required to
+// outcomes returned by BayesianFaultNetwork::evaluate(EvalRequest) must
 // be bit-identical (field by field) to evaluate_mask run on each mask in
 // order, and the truncated-replay accounting must match per mask. The
 // kernel-level contracts underneath — gemm_variants vs gemm_rows and
@@ -108,7 +108,8 @@ void check_parity(const Subject& subject, const TargetSpec& spec, double p,
     std::vector<MaskOutcome> expected;
     expected.reserve(masks.size());
     for (const auto& mask : masks) expected.push_back(seq.evaluate_mask(mask));
-    const std::vector<MaskOutcome> got = bat.evaluate_masks(masks, mask_batch);
+    const std::vector<MaskOutcome> got =
+        bat.evaluate({masks, mask_batch}).outcomes;
 
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -149,7 +150,7 @@ TEST(MultiMaskParity, ResnetNoCacheFullForwardGroups) {
     for (int i = 0; i < 6; ++i) masks.push_back(seq.sample_prior_mask(1e-4, rng));
     std::vector<MaskOutcome> expected;
     for (const auto& m : masks) expected.push_back(seq.evaluate_mask(m));
-    const auto got = bat.evaluate_masks(masks, mask_batch);
+    const auto got = bat.evaluate({masks, mask_batch}).outcomes;
     for (std::size_t i = 0; i < masks.size(); ++i) {
       expect_outcomes_equal(expected[i], got[i]);
     }
@@ -179,7 +180,7 @@ TEST(MultiMaskFallback, ComputeFaultMasksTakeSequentialPath) {
   for (int i = 0; i < 5; ++i) masks.push_back(seq.sample_prior_mask(0.002, rng));
   std::vector<MaskOutcome> expected;
   for (const auto& m : masks) expected.push_back(seq.evaluate_mask(m));
-  const auto got = bat.evaluate_masks(masks, 4);
+  const auto got = bat.evaluate({masks, 4}).outcomes;
   for (std::size_t i = 0; i < masks.size(); ++i) {
     expect_outcomes_equal(expected[i], got[i]);
   }
@@ -203,7 +204,7 @@ TEST(MultiMaskFallback, AbftCheckingForcesSequential) {
   for (int i = 0; i < 4; ++i) masks.push_back(seq.sample_prior_mask(0.004, rng));
   std::vector<MaskOutcome> expected;
   for (const auto& m : masks) expected.push_back(seq.evaluate_mask(m));
-  const auto got = bat.evaluate_masks(masks, 4);
+  const auto got = bat.evaluate({masks, 4}).outcomes;
   for (std::size_t i = 0; i < masks.size(); ++i) {
     expect_outcomes_equal(expected[i], got[i]);
   }
@@ -224,7 +225,7 @@ TEST(MultiMaskFallback, RangeGuardsForceSequential) {
   for (int i = 0; i < 4; ++i) masks.push_back(seq.sample_prior_mask(0.004, rng));
   std::vector<MaskOutcome> expected;
   for (const auto& m : masks) expected.push_back(seq.evaluate_mask(m));
-  const auto got = bat.evaluate_masks(masks, 4);
+  const auto got = bat.evaluate({masks, 4}).outcomes;
   for (std::size_t i = 0; i < masks.size(); ++i) {
     expect_outcomes_equal(expected[i], got[i]);
   }

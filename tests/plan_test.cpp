@@ -12,10 +12,8 @@
 //     tolerance, and fold_conv_bn itself matches conv→bn→relu;
 //   * fault-site enumeration (names, offsets, owning layers) is identical
 //     with fusion on and off — fusion never renames or reorders sites;
-//   * evaluate_masks stays bit-exact with sequential evaluation on the
-//     planned path for K ∈ {1, 8, 32};
-//   * the profiling flag is snapshotted at plan compile time: toggling it
-//     invalidates the plan instead of mutating a compiled one.
+//   * evaluate(EvalRequest) stays bit-exact with sequential evaluation on the
+//     planned path for K ∈ {1, 8, 32}.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -133,7 +131,6 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b) {
 
 TEST(PlanTest, CompilesOnFirstEvalForwardAndCovers) {
   Subject s = make_resnet_subject();
-  EXPECT_TRUE(s.net.planned());
   EXPECT_EQ(s.net.plan_for(s.inputs.shape()), nullptr);
 
   (void)s.net.forward_view(0, s.inputs);
@@ -208,7 +205,6 @@ TEST(PlanTest, ClonedNetworksOwnIndependentPlansAndArenas) {
   (void)s.net.forward_view(0, s.inputs);
 
   nn::Network copy = s.net.clone();
-  EXPECT_TRUE(copy.planned());
   // Plans are not copied — the clone compiles its own on first use.
   EXPECT_EQ(copy.plan_for(s.inputs.shape()), nullptr);
   (void)copy.forward_view(0, s.inputs);
@@ -229,26 +225,23 @@ TEST(PlanTest, ClonedNetworksOwnIndependentPlansAndArenas) {
 
 TEST(PlanTest, PlannedUnfusedIsBitExactWithLegacy) {
   const auto check = [](Subject s) {
-    s.net.set_planned(false);
-    Tensor legacy = s.net.forward(s.inputs);
-    s.net.set_planned(true);
+    // Legacy reference: each layer's allocating eval forward, in order.
+    // acts[i] is the activation leaving layer i.
+    std::vector<Tensor> acts;
+    Tensor act = s.inputs;
+    for (std::size_t i = 0; i < s.net.num_layers(); ++i) {
+      act = s.net.layer(i).forward(act, /*training=*/false);
+      acts.push_back(act);
+    }
     EXPECT_FALSE(s.net.eval_fusion());  // --no-fuse semantics by default
     Tensor planned = s.net.forward(s.inputs);
-    expect_bitwise_equal(legacy, planned);
+    expect_bitwise_equal(acts.back(), planned);
 
     // Truncated replays hit the same plan mid-network; parity must hold for
     // every resume point, since the mask-evaluation pipeline rests on it.
-    std::vector<Tensor> acts;
-    s.net.set_planned(false);
-    (void)s.net.forward(s.inputs, false, [&](std::size_t, Tensor& act) {
-      acts.push_back(act);
-    });
     for (std::size_t k = 1; k < acts.size(); ++k) {
-      s.net.set_planned(false);
-      Tensor want = s.net.forward_from(k, acts[k - 1]);
-      s.net.set_planned(true);
       const Tensor& got = s.net.forward_view(k, acts[k - 1]);
-      expect_bitwise_equal(want, got);
+      expect_bitwise_equal(acts.back(), got);
     }
   };
   check(make_mlp_subject());
@@ -366,28 +359,6 @@ TEST(PlanTest, EvaluateMasksBitExactOnPlannedPath) {
       EXPECT_EQ(want[i].flipped_bits, got.outcomes[i].flipped_bits);
     }
   }
-}
-
-TEST(PlanTest, ProfilingFlagIsSnapshottedAtCompile) {
-  Subject s = make_resnet_subject();
-  (void)s.net.forward_view(0, s.inputs);
-  const nn::ExecutionPlan* cold = s.net.plan_for(s.inputs.shape());
-  ASSERT_NE(cold, nullptr);
-  EXPECT_FALSE(cold->profiling_snapshot());
-
-  // Toggling profiling mid-campaign invalidates the plan; the recompiled one
-  // carries the new snapshot — a fused/replayed step can never be counted
-  // under a stale flag.
-  s.net.set_layer_profiling(true);
-  EXPECT_EQ(s.net.plan_for(s.inputs.shape()), nullptr);
-  (void)s.net.forward_view(0, s.inputs);
-  const nn::ExecutionPlan* hot = s.net.plan_for(s.inputs.shape());
-  ASSERT_NE(hot, nullptr);
-  EXPECT_TRUE(hot->profiling_snapshot());
-
-  // Re-setting the same value is a no-op — the plan survives.
-  s.net.set_layer_profiling(true);
-  EXPECT_EQ(s.net.plan_for(s.inputs.shape()), hot);
 }
 
 }  // namespace

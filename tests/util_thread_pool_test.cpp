@@ -100,16 +100,51 @@ TEST(ParallelForChunked, MoreChunksThanItemsClamps) {
 }
 
 TEST(ParallelFor, NestedUseDoesNotDeadlock) {
-  // Outer parallel_for over a small range while inner loops reuse the global
-  // pool; waits are local latches, so no deadlock.
-  std::atomic<int> total{0};
+  // Outer width equal to the pool size: every worker holds an outer task, so
+  // a nested call that queued its work behind them (instead of running
+  // inline) would wait forever on tasks no worker is free to run.
   ThreadPool pool(4);
-  parallel_for(0, 4, [&](std::size_t) {
-    std::atomic<int> inner{0};
-    for (int i = 0; i < 10; ++i) inner.fetch_add(1);
-    total.fetch_add(inner.load());
+  const std::size_t outer = pool.size();
+  constexpr std::size_t kInner = 30;
+  constexpr std::size_t kChunks = 4;  // uneven partition: 8, 8, 7, 7
+
+  // Top-level partition on the same pool: the reference chunk ids.
+  std::vector<std::size_t> want_chunk(kInner, kChunks);
+  parallel_for_chunked(0, kInner, kChunks,
+                       [&](std::size_t c, std::size_t lo, std::size_t hi) {
+                         for (std::size_t i = lo; i < hi; ++i) {
+                           want_chunk[i] = c;
+                         }
+                       },
+                       &pool);
+
+  std::vector<std::vector<std::size_t>> values(
+      outer, std::vector<std::size_t>(kInner, 0));
+  std::vector<std::vector<std::size_t>> chunk_of(
+      outer, std::vector<std::size_t>(kInner, kChunks));
+  parallel_for(0, outer, [&](std::size_t o) {
+    parallel_for(0, kInner, [&](std::size_t i) {
+      values[o][i] = o * 1000 + i * i;
+    }, &pool);
+    parallel_for_chunked(0, kInner, kChunks,
+                         [&](std::size_t c, std::size_t lo, std::size_t hi) {
+                           for (std::size_t i = lo; i < hi; ++i) {
+                             chunk_of[o][i] = c;
+                           }
+                         },
+                         &pool);
   }, &pool);
-  EXPECT_EQ(total.load(), 40);
+
+  for (std::size_t o = 0; o < outer; ++o) {
+    for (std::size_t i = 0; i < kInner; ++i) {
+      EXPECT_EQ(values[o][i], o * 1000 + i * i);  // the serial loop's result
+      EXPECT_EQ(chunk_of[o][i], want_chunk[i]);
+    }
+  }
+  EXPECT_EQ(want_chunk.front(), 0u);
+  EXPECT_EQ(want_chunk[8], 1u);
+  EXPECT_EQ(want_chunk[16], 2u);
+  EXPECT_EQ(want_chunk[23], 3u);
 }
 
 }  // namespace
