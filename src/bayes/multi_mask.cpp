@@ -210,14 +210,12 @@ Shape widened_out_shape(nn::Layer& layer, const Shape& in) {
   return Shape{};
 }
 
-// Clean widened forward of one supported layer, pooled via forward_into when
-// the layer is plan-eval-safe. MC-mode Dropout samples even in eval (its
-// forward_into refuses) and unknown shapes have no pooled recipe — both fall
-// back to the allocating forward, and `cur = -1` records that the panel left
-// the pool's slots.
+// Clean widened forward of one supported layer, pooled via forward_into.
+// Unknown shapes have no pooled recipe — they fall back to the allocating
+// forward, and `cur = -1` records that the panel left the pool's slots.
 void run_clean(nn::Layer& layer, Panel& p) {
   const Shape out_shape = widened_out_shape(layer, p.act.shape());
-  if (out_shape.rank() == 0 || !layer.plan_eval_safe()) {
+  if (out_shape.rank() == 0) {
     p.act = layer.forward(p.act, /*training=*/false);
     p.cur = -1;
     return;

@@ -43,20 +43,18 @@ void Conv2d::init_he(util::Rng& rng) {
 Tensor Conv2d::forward(const Tensor& x, bool training) {
   BDLFI_CHECK(x.shape().rank() == 4 && x.shape()[1] == in_channels_);
   if (training) cached_input_ = x;
-  if (compute_ctx_ != nullptr) {
-    return tensor::conv2d_forward(x, weight_, bias_, spec_, *compute_ctx_);
-  }
-  return tensor::conv2d_forward(x, weight_, bias_, spec_);
+  Tensor y{Shape{x.shape()[0], out_channels_, spec_.out_h(x.shape()[2]),
+                 spec_.out_w(x.shape()[3])}};
+  forward_into(x, y);
+  return y;
 }
 
 void Conv2d::forward_into(const Tensor& in, Tensor& out) {
   BDLFI_CHECK(in.shape().rank() == 4 && in.shape()[1] == in_channels_);
-  if (compute_ctx_ != nullptr) {
-    tensor::conv2d_forward_into(in, weight_, bias_, spec_, *compute_ctx_, out);
-  } else {
-    tensor::conv2d_forward_into(in, weight_, bias_, spec_,
-                                tensor::abft::OpContext{}, out);
-  }
+  tensor::conv2d_forward_into(
+      in, weight_, bias_, spec_,
+      compute_ctx_ != nullptr ? *compute_ctx_ : tensor::abft::OpContext{},
+      out);
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {

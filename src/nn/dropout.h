@@ -29,10 +29,6 @@ class Dropout : public Layer {
   Tensor forward(const Tensor& x, bool training) override;
   void forward_into(const Tensor& in, Tensor& out) override;
   bool inplace_capable() const override { return true; }
-  /// MC mode draws from the layer's RNG on every eval forward — the plan's
-  /// shape probe would perturb the stream, so MC networks take the legacy
-  /// path.
-  bool plan_eval_safe() const override { return !mc_mode_; }
   Tensor backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override;
 

@@ -61,26 +61,23 @@ class Layer {
   /// Runs the layer, caching whatever backward() needs when `training`.
   virtual Tensor forward(const Tensor& x, bool training) = 0;
 
-  /// Eval-mode forward into caller-provided storage — the planned-execution
-  /// contract. `out` arrives pre-shaped with this layer's output geometry and
-  /// may alias `in` only when inplace_capable(); implementations must write
-  /// every element of `out` and never mutate `in`. The base implementation is
-  /// a compatibility shim (run the allocating forward(), copy the result), so
-  /// custom layers stay correct under planned execution — just not
-  /// allocation-free until they override.
+  /// Eval-mode forward into caller-provided storage — the layer's one eval
+  /// implementation, and the planned-execution contract. `out` arrives
+  /// pre-shaped with this layer's output geometry and may alias `in` only
+  /// when inplace_capable(); implementations must write every element of
+  /// `out` and never mutate `in`. Stateful eval work (MC-dropout sampling,
+  /// range-guard calibration and correction counts) happens here, once per
+  /// call: the plan compiler probes shapes on throwaway clones, so every
+  /// call is a real forward. The base implementation is a compatibility
+  /// shim (run the allocating forward(), copy the result), so custom layers
+  /// stay correct under planned execution — just not allocation-free until
+  /// they override.
   virtual void forward_into(const Tensor& in, Tensor& out);
 
   /// True when forward_into tolerates out.data() == in.data(). Pure
   /// elementwise layers say yes so the plan can collapse their slot onto the
   /// producer's buffer.
   virtual bool inplace_capable() const { return false; }
-
-  /// True when an extra eval-mode forward of this layer has no observable
-  /// side effects (no RNG draws, no state recording). The plan compiler's
-  /// shape probe and step replay rely on this; layers with stateful eval
-  /// modes (MC-dropout sampling, calibrating range guards) return false to
-  /// route the whole network through the legacy allocating path instead.
-  virtual bool plan_eval_safe() const { return true; }
 
   /// Consumes d(loss)/d(output), accumulates parameter gradients, returns
   /// d(loss)/d(input). Only valid after a training-mode forward.

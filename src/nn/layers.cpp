@@ -59,22 +59,9 @@ void Dense::init_he(util::Rng& rng) {
 }
 
 Tensor Dense::forward(const Tensor& x, bool training) {
-  BDLFI_CHECK(x.shape().rank() == 2 && x.shape()[1] == in_);
   if (training) cached_input_ = x;
-  const std::int64_t n = x.shape()[0];
-  Tensor y{Shape{n, out_}};
-  // y = x [n,in] * W^T [in,out]. Under a compute context the GEMM is checked
-  // pre-bias: compute faults strike the raw MAC results, and the checksum
-  // invariant only covers the multiply itself.
-  if (compute_ctx_ != nullptr) {
-    tensor::abft::gemm_checked(false, true, n, out_, in_, 1.0f, x.data(), in_,
-                               weight_.data(), in_, y.data(), out_,
-                               *compute_ctx_, /*elem_base=*/0);
-  } else {
-    tensor::gemm(false, true, n, out_, in_, 1.0f, x.data(), in_,
-                 weight_.data(), in_, 0.0f, y.data(), out_);
-  }
-  if (has_bias_) tensor::bias_add_rows(y, bias_);
+  Tensor y{Shape{x.shape()[0], out_}};
+  forward_into(x, y);
   return y;
 }
 
@@ -83,8 +70,10 @@ void Dense::forward_into(const Tensor& in, Tensor& out) {
   const std::int64_t n = in.shape()[0];
   BDLFI_CHECK(out.shape() == Shape({n, out_}));
   BDLFI_CHECK(out.data() != in.data());
-  // Same GEMM + bias sequence as forward(): beta = 0 overwrites whatever the
-  // arena slot held, so stale activations from the previous eval are inert.
+  // out = in [n,in] * W^T [in,out]; beta = 0 overwrites whatever the arena
+  // slot held, so stale activations from the previous eval are inert. Under a
+  // compute context the GEMM is checked pre-bias: compute faults strike the
+  // raw MAC results, and the checksum invariant only covers the multiply.
   if (compute_ctx_ != nullptr) {
     tensor::abft::gemm_checked(false, true, n, out_, in_, 1.0f, in.data(), in_,
                                weight_.data(), in_, out.data(), out_,
@@ -143,7 +132,7 @@ std::unique_ptr<Layer> Dense::clone() const {
 Tensor ReLU::forward(const Tensor& x, bool training) {
   if (training) cached_pre_ = x;
   Tensor y = x;
-  tensor::relu_inplace(y);
+  forward_into(y, y);
   return y;
 }
 

@@ -58,11 +58,6 @@ const Tensor& Network::forward_view(std::size_t first_layer, const Tensor& act,
 const Tensor* Network::planned_forward(std::size_t first_layer,
                                        const Tensor& act,
                                        const ActivationHook& hook) {
-  // A single unsafe layer (MC-mode dropout, calibrating guard) routes the
-  // whole forward through the legacy path — per-call, so toggling works.
-  for (const auto& e : layers_) {
-    if (!e.entry->plan_eval_safe()) return nullptr;
-  }
   for (auto& plan : plans_) {
     if (plan->covers(first_layer, act.shape())) {
       return &plan->run(*this, first_layer, act, hook, fuse_);
@@ -87,40 +82,42 @@ const ExecutionPlan* Network::plan_for(const Shape& shape) const {
 Tensor Network::forward_from_legacy(std::size_t first_layer, Tensor act,
                                     bool training,
                                     const ActivationHook& hook) {
-  // Self-checking forward only when something asks for it (ABFT on, or a
-  // compute-fault plan installed); otherwise the loops below are exactly the
-  // unchecked forward — the bit-exact-parity guarantee of abft.h.
-  const bool checked =
-      abft_.mode != tensor::abft::Mode::kOff ||
-      (compute_plan_ != nullptr && !compute_plan_->empty());
-  const auto run_checked = [&](std::size_t i) {
-    tensor::abft::OpContext ctx;
-    ctx.config = abft_;
-    // Layers outside a selective-placement restriction run unchecked (mode
-    // off) but keep their flips: the fault still strikes, nothing notices.
-    if (!abft_layer_checked(i)) ctx.config.mode = tensor::abft::Mode::kOff;
-    ctx.stats = &abft_stats();
-    if (compute_plan_ != nullptr) {
-      const auto it = compute_plan_->find(i);
-      if (it != compute_plan_->end()) ctx.flips = &it->second;
-    }
-    layers_[i].entry->set_compute_context(&ctx);
-    Tensor out = layers_[i].entry->forward(act, training);
-    layers_[i].entry->set_compute_context(nullptr);
-    return out;
-  };
-  if (checked) {
-    for (std::size_t i = first_layer; i < layers_.size(); ++i) {
-      act = run_checked(i);
-      if (hook) hook(i, act);
-    }
-    return act;
-  }
+  // Self-checking forward only when something asks for it; otherwise the
+  // loop is exactly the unchecked forward — the bit-exact-parity guarantee
+  // of abft.h.
+  const bool self_checking = checked();
   for (std::size_t i = first_layer; i < layers_.size(); ++i) {
-    act = layers_[i].entry->forward(act, training);
+    Layer& layer = *layers_[i].entry;
+    if (self_checking) {
+      const tensor::abft::OpContext ctx = op_context(i);
+      layer.set_compute_context(&ctx);
+      act = layer.forward(act, training);
+      layer.set_compute_context(nullptr);
+    } else {
+      act = layer.forward(act, training);
+    }
     if (hook) hook(i, act);
   }
   return act;
+}
+
+bool Network::checked() const {
+  return abft_.mode != tensor::abft::Mode::kOff ||
+         (compute_plan_ != nullptr && !compute_plan_->empty());
+}
+
+tensor::abft::OpContext Network::op_context(std::size_t i) const {
+  tensor::abft::OpContext ctx;
+  ctx.config = abft_;
+  // Layers outside a selective-placement restriction run unchecked (mode
+  // off) but keep their flips: the fault still strikes, nothing notices.
+  if (!abft_layer_checked(i)) ctx.config.mode = tensor::abft::Mode::kOff;
+  ctx.stats = &abft_stats();
+  if (compute_plan_ != nullptr) {
+    const auto it = compute_plan_->find(i);
+    if (it != compute_plan_->end()) ctx.flips = &it->second;
+  }
+  return ctx;
 }
 
 void Network::set_abft_layers(std::vector<std::size_t> layers) {

@@ -50,9 +50,10 @@ class Network {
 
   /// Forward pass. `training` enables backward caches and batch-stat BN.
   /// Eval-mode forwards run through a compiled ExecutionPlan (pre-sized
-  /// arena buffers, no per-eval allocations), bit-exact with the legacy
-  /// layer loop when fusion is off. Training forwards, MC-dropout networks,
-  /// and calibrating range guards take the legacy loop.
+  /// arena buffers, no per-eval allocations) that calls each layer's
+  /// forward_into — stateful layers (MC-dropout, calibrating range guards)
+  /// included — bit-exact with the layer loop when fusion is off. Training
+  /// forwards take the layer loop.
   Tensor forward(const Tensor& x, bool training = false,
                  const ActivationHook& hook = nullptr);
 
@@ -167,6 +168,13 @@ class Network {
                                 const ActivationHook& hook);
   Tensor forward_from_legacy(std::size_t first_layer, Tensor act,
                              bool training, const ActivationHook& hook);
+  /// True when forwards must run self-checking: ABFT on, or a non-empty
+  /// compute-fault plan installed.
+  bool checked() const;
+  /// The OpContext installed around top-level layer `i` of a checked
+  /// forward: the ABFT deployment (mode off outside a selective-placement
+  /// restriction), this network's counters, and layer i's flips.
+  tensor::abft::OpContext op_context(std::size_t i) const;
 
   std::vector<Entry> layers_;
   tensor::abft::Config abft_;

@@ -36,15 +36,17 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::compile(Network& net,
   BDLFI_CHECK_MSG(net.num_layers() > 0, "plan compile on empty network");
   std::unique_ptr<ExecutionPlan> plan(new ExecutionPlan);
 
-  // Probe: one legacy eval forward records every layer-boundary shape. This
-  // works for any Layer subclass (custom layers included) without requiring a
-  // shape-inference virtual.
+  // Probe: one eval forward records every layer-boundary shape. This works
+  // for any Layer subclass (custom layers included) without requiring a
+  // shape-inference virtual. Each layer runs as a throwaway clone, so the
+  // probe draws from no live RNG stream and moves no live calibration range
+  // or counter; one layer is cloned at a time to keep the peak footprint.
   std::vector<Shape> shapes;  // shapes[i] = activation entering layer i
   shapes.reserve(net.num_layers() + 1);
   Tensor act = probe;
   shapes.push_back(act.shape());
   for (std::size_t i = 0; i < net.num_layers(); ++i) {
-    act = net.layer(i).forward(act, /*training=*/false);
+    act = net.layer(i).clone()->forward(act, /*training=*/false);
     shapes.push_back(act.shape());
   }
 
@@ -301,9 +303,7 @@ const Tensor& ExecutionPlan::run(Network& net, std::size_t first_layer,
                                  const Network::ActivationHook& hook,
                                  bool fuse) {
   BDLFI_CHECK(covers(first_layer, input.shape()));
-  const bool checked =
-      net.abft_.mode != tensor::abft::Mode::kOff ||
-      (net.compute_plan_ != nullptr && !net.compute_plan_->empty());
+  const bool checked = net.checked();
   // Checked runs need the per-layer contexts of the unfused lowering.
   const bool use_fused = fuse && !checked;
   if (use_fused && !folds_.empty()) refold_all();
@@ -326,17 +326,7 @@ const Tensor& ExecutionPlan::run(Network& net, std::size_t first_layer,
     tensor::abft::OpContext ctx, inner;
     const tensor::abft::OpContext* inner_ptr = nullptr;
     if (checked) {
-      ctx.config = net.abft_;
-      // Same selective-placement semantics as the legacy path: unselected
-      // layers run mode-off (still receiving their flips).
-      if (!net.abft_layer_checked(grp.layer)) {
-        ctx.config.mode = tensor::abft::Mode::kOff;
-      }
-      ctx.stats = &net.abft_stats();
-      if (net.compute_plan_ != nullptr) {
-        const auto it = net.compute_plan_->find(grp.layer);
-        if (it != net.compute_plan_->end()) ctx.flips = &it->second;
-      }
+      ctx = net.op_context(grp.layer);
       inner = ctx;
       inner.flips = nullptr;  // flips address top-level output geometry
       inner_ptr = &inner;

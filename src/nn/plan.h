@@ -15,8 +15,9 @@
 //     semantics as the legacy path (BasicBlock internals are never exposed,
 //     exactly as before).
 //   * ABFT checking and compute-fault plans run through the plan with the
-//     same per-layer OpContext the legacy path installs (block-inner convs
-//     get the flip-stripped context, matching BasicBlock::forward).
+//     same per-layer OpContext (Network::op_context) the legacy path
+//     installs (block-inner convs get the flip-stripped context, matching
+//     BasicBlock::forward).
 //
 // Eval-mode fusion (opt-in via Network::set_eval_fusion) adds a second,
 // fused lowering per BasicBlock: BN folded into the preceding conv's
@@ -62,9 +63,9 @@ void fold_conv_bn(const Tensor& weight, const Tensor& bias, BatchNorm2d& bn,
 
 class ExecutionPlan {
  public:
-  /// Compiles a plan for `net` by probing one legacy eval forward with
-  /// `probe_input` (shapes are recorded; no layer state is perturbed — the
-  /// caller must have verified plan_eval_safe() on every layer).
+  /// Compiles a plan for `net` by probing one eval forward with
+  /// `probe_input` on per-layer clones (shapes are recorded; no live layer
+  /// state is perturbed).
   static std::unique_ptr<ExecutionPlan> compile(Network& net,
                                                 const Tensor& probe_input);
 

@@ -28,14 +28,11 @@ class RangeGuard : public Layer {
   Tensor forward(const Tensor& x, bool training) override;
   void forward_into(const Tensor& in, Tensor& out) override;
   bool inplace_capable() const override { return true; }
-  /// Calibration records state per forward; route it through the legacy path
-  /// so the plan's shape probe cannot double-record.
-  bool plan_eval_safe() const override { return !calibrating_; }
   /// Straight-through gradient (clamping is inactive on clean training data).
   Tensor backward(const Tensor& grad_output) override { return grad_output; }
   std::unique_ptr<Layer> clone() const override;
 
-  /// While calibrating, forward() records min/max and never clamps.
+  /// While calibrating, every forward records min/max and never clamps.
   void set_calibrating(bool on) { calibrating_ = on; }
   bool calibrating() const { return calibrating_; }
   bool is_calibrated() const { return calibrated_; }

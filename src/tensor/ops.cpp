@@ -31,7 +31,7 @@ float* scratch_floats(std::size_t slot, std::size_t n) {
 // of the patch axis lands at cols[r * dst_ld + dst_col0 ...]. This is how
 // several samples' columns fuse side by side into one wide [patch, T*OH*OW]
 // panel for the multi-variant GEMM. im2col below is the dst_ld == OH*OW,
-// dst_col0 == 0 special case (kept separate: it is the sequential hot path).
+// dst_col0 == 0 special case.
 void im2col_ld(const float* input, std::int64_t channels, std::int64_t h,
                std::int64_t w, const Conv2dSpec& spec, float* cols,
                std::int64_t dst_ld, std::int64_t dst_col0) {
@@ -170,29 +170,8 @@ std::vector<std::int64_t> argmax_rows(const Tensor& m) {
 
 void im2col(const float* input, std::int64_t channels, std::int64_t h,
             std::int64_t w, const Conv2dSpec& spec, float* cols) {
-  const std::int64_t oh = spec.out_h(h), ow = spec.out_w(w);
-  const std::int64_t cols_w = oh * ow;
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < channels; ++c) {
-    for (std::int64_t kh = 0; kh < spec.kernel_h; ++kh) {
-      for (std::int64_t kw = 0; kw < spec.kernel_w; ++kw, ++row) {
-        float* dst = cols + row * cols_w;
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
-          const std::int64_t iy = oy * spec.stride - spec.pad_h + kh;
-          if (iy < 0 || iy >= h) {
-            std::fill(dst + oy * ow, dst + (oy + 1) * ow, 0.0f);
-            continue;
-          }
-          const float* src_row = input + (c * h + iy) * w;
-          for (std::int64_t ox = 0; ox < ow; ++ox) {
-            const std::int64_t ix = ox * spec.stride - spec.pad_w + kw;
-            dst[oy * ow + ox] =
-                (ix >= 0 && ix < w) ? src_row[ix] : 0.0f;
-          }
-        }
-      }
-    }
-  }
+  im2col_ld(input, channels, h, w, spec, cols, spec.out_h(h) * spec.out_w(w),
+            0);
 }
 
 void col2im(const float* cols, std::int64_t channels, std::int64_t h,
@@ -220,19 +199,13 @@ void col2im(const float* cols, std::int64_t channels, std::int64_t h,
 
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, const Conv2dSpec& spec) {
-  // Default OpContext: ABFT off, no flips — gemm_checked degenerates to the
-  // plain gemm call, bit-exactly.
-  return conv2d_forward(input, weight, bias, spec, abft::OpContext{});
-}
-
-Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
-                      const Tensor& bias, const Conv2dSpec& spec,
-                      const abft::OpContext& ctx) {
   const std::int64_t n = input.shape()[0], h = input.shape()[2],
                      w = input.shape()[3];
   const std::int64_t o = weight.shape()[0];
   Tensor output{Shape{n, o, spec.out_h(h), spec.out_w(w)}};
-  conv2d_forward_into(input, weight, bias, spec, ctx, output);
+  // Default OpContext: ABFT off, no flips — gemm_checked degenerates to the
+  // plain gemm call, bit-exactly.
+  conv2d_forward_into(input, weight, bias, spec, abft::OpContext{}, output);
   return output;
 }
 

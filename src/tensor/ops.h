@@ -77,19 +77,14 @@ void col2im(const float* cols, std::int64_t channels, std::int64_t h,
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, const Conv2dSpec& spec);
 
-/// Self-checking variant: routes each sample's im2col GEMM through
-/// abft::gemm_checked, so transient compute faults in ctx.flips (flat indices
-/// into the [N,O,OH,OW] output) land on the raw pre-bias MAC results and the
-/// ABFT row checksums verify/recover per ctx.config. With a default OpContext
-/// this is bit-exact with the plain overload.
-Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
-                      const Tensor& bias, const Conv2dSpec& spec,
-                      const abft::OpContext& ctx);
-
-/// Allocation-free conv2d: writes the [N,O,OH,OW] result into `output`
-/// (pre-shaped by the caller, must not alias `input`). Bit-exact with the
-/// allocating overloads — they are thin wrappers around this. The only
-/// per-call storage is the thread-local im2col scratch, which is grow-once.
+/// Allocation-free, self-checking conv2d: writes the [N,O,OH,OW] result into
+/// `output` (pre-shaped by the caller, must not alias `input`). Each sample's
+/// im2col GEMM runs through abft::gemm_checked, so transient compute faults
+/// in ctx.flips (flat indices into the [N,O,OH,OW] output) land on the raw
+/// pre-bias MAC results and the ABFT row checksums verify/recover per
+/// ctx.config. With a default OpContext this is bit-exact with
+/// conv2d_forward, a thin wrapper around it. The only per-call storage is the
+/// thread-local im2col scratch, which is grow-once.
 void conv2d_forward_into(const Tensor& input, const Tensor& weight,
                          const Tensor& bias, const Conv2dSpec& spec,
                          const abft::OpContext& ctx, Tensor& output);

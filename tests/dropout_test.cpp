@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "data/toy2d.h"
 #include "nn/builders.h"
@@ -131,6 +132,32 @@ TEST(McDropout, TrainingWithDropoutStillLearns) {
   config.seed = 8;
   const auto result = train::fit(net, ds, ds, config);
   EXPECT_GT(result.final_test_accuracy, 0.9);
+}
+
+TEST(McDropout, McModeRunsThePlanBitExactWithTheLayerLoop) {
+  // MC-mode networks run eval forwards through the compiled plan. Its shape
+  // probe samples from layer clones, so the live RNG streams stay in step
+  // with a clone driven layer by layer.
+  util::Rng rng{6};
+  Network net = make_mlp_dropout({2, 16, 16, 2}, 0.3, rng);
+  set_mc_dropout(net, true);
+  Network reference = net.clone();
+  util::Rng data_rng{7};
+  const Tensor x = Tensor::randn(Shape{8, 2}, data_rng, 0.0f, 1.0f);
+  for (int pass = 0; pass < 3; ++pass) {
+    const Tensor planned = net.forward(x, false);
+    ASSERT_NE(net.plan_for(x.shape()), nullptr);
+    Tensor act = x;
+    for (std::size_t i = 0; i < reference.num_layers(); ++i) {
+      act = reference.layer(i).forward(act, false);
+    }
+    ASSERT_EQ(planned.shape(), act.shape());
+    EXPECT_EQ(std::memcmp(planned.data(), act.data(),
+                          static_cast<std::size_t>(act.numel()) *
+                              sizeof(float)),
+              0)
+        << "pass " << pass;
+  }
 }
 
 TEST(McDropout, MajorityVoteMatchesSinglePassWhenDeterministic) {

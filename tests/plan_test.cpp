@@ -13,7 +13,9 @@
 //   * fault-site enumeration (names, offsets, owning layers) is identical
 //     with fusion on and off — fusion never renames or reorders sites;
 //   * evaluate(EvalRequest) stays bit-exact with sequential evaluation on the
-//     planned path for K ∈ {1, 8, 32}.
+//     planned path for K ∈ {1, 8, 32};
+//   * planned and layer-by-layer forwards are bit-identical across thread
+//     pool sizes 1, 2 and 4.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -35,6 +37,7 @@
 #include "nn/plan.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 // ---------------------------------------------------------------------------
 // Instrumented global allocator: counts heap allocations at or above the
@@ -246,6 +249,37 @@ TEST(PlanTest, PlannedUnfusedIsBitExactWithLegacy) {
   };
   check(make_mlp_subject());
   check(make_resnet_subject());
+}
+
+TEST(PlanTest, BitIdenticalAcrossThreadPoolSizes) {
+  // ResNet-18 at width 0.25 on 16x16 inputs, batch 9: larger than every pool
+  // size tried, so sample-parallel loops split unevenly across workers.
+  data::CifarLikeConfig config;
+  config.samples_per_class = 1;
+  config.image_size = 16;
+  util::Rng data_rng{405};
+  const Tensor inputs =
+      data::make_cifar_like(config, data_rng).slice(0, 9).inputs;
+  nn::ResNetConfig net_config;
+  net_config.width_multiplier = 0.25;
+  util::Rng init{406};
+  const nn::Network base = nn::make_resnet18(net_config, init);
+
+  std::vector<Tensor> outputs;
+  for (const std::size_t threads : {1, 2, 4}) {
+    util::ThreadPool::reinit_after_fork(threads);
+    ASSERT_EQ(util::ThreadPool::global().size(), threads);
+    nn::Network net = base.clone();
+    outputs.push_back(net.forward(inputs));  // compiles the plan
+    outputs.push_back(net.forward(inputs));  // steady-state plan
+    Tensor act = inputs;
+    for (std::size_t i = 0; i < net.num_layers(); ++i) {
+      act = net.layer(i).forward(act, /*training=*/false);
+    }
+    outputs.push_back(act);
+  }
+  util::ThreadPool::reinit_after_fork();
+  for (const Tensor& out : outputs) expect_bitwise_equal(outputs.front(), out);
 }
 
 TEST(PlanTest, FusedExecutionMatchesUnfusedWithinTolerance) {

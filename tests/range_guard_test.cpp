@@ -180,6 +180,21 @@ TEST_F(GuardedNetworkTest, CloneStartsCounterAtZeroAndTalliesIndependently) {
   EXPECT_EQ(total_guard_corrections(guarded), original);
 }
 
+TEST_F(GuardedNetworkTest, FirstForwardCountsEachClampOnce) {
+  // A fresh clone has no compiled plan, so its first eval forward compiles
+  // one. The compile's shape probe runs on layer clones: it must not add to
+  // the live guards' counters, so the first and second forwards over the
+  // same input count the same clamps.
+  Network replica = add_range_guards(*net_, data_->inputs, 0.0).clone();
+  Tensor probe = data_->inputs;
+  for (std::int64_t i = 0; i < probe.numel(); ++i) probe[i] *= 1e6f;
+  (void)replica.forward(probe, false);
+  const std::size_t first = total_guard_corrections(replica);
+  ASSERT_GT(first, 0u);
+  (void)replica.forward(probe, false);
+  EXPECT_EQ(total_guard_corrections(replica), 2 * first);
+}
+
 TEST_F(GuardedNetworkTest, GuardsReduceFaultDeviation) {
   const double p = 3e-3;
   bayes::BayesianFaultNetwork plain(
