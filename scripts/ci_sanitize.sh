@@ -116,19 +116,24 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
 
 # ThreadSanitizer pass. TSan cannot share a binary with ASan, so it gets its
 # own build tree, instrumented through the compiler/linker flags rather than
-# a project option. It covers the parallelism rule (a parallel_for issued
-# from a pool worker runs inline, so nested chain -> conv -> GEMM loops cannot
-# deadlock), the multi-chain campaign runner at full pool width, and the
-# batched multi-mask engine. No suppressions: any report fails the job.
+# a project option. It covers the parallelism rule (every parallel_for forks
+# by claims: helper tasks and the issuing thread take chunks from one atomic
+# cursor, and the issuer waits only for chunks already claimed, so nested
+# chain -> conv -> GEMM loops cannot deadlock and idle workers join them),
+# the multi-chain campaign runner at full pool width, the batched multi-mask
+# engine, the planned forward whose conv chunks share the issuer's im2col
+# workspace, and the random-FI campaigns that nest convs under FI workers.
+# No suppressions: any report fails the job.
 TSAN_DIR="${BUILD_DIR}-tsan"
-TSAN_SUITES=(util_thread_pool_test mcmc_test multi_mask_test)
+TSAN_SUITES=(util_thread_pool_test mcmc_test multi_mask_test plan_test
+             inject_test)
 cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
   -DCMAKE_SHARED_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "$TSAN_DIR" -j "$(nproc)" --target "${TSAN_SUITES[@]}"
-echo "=== ThreadSanitizer: thread pool, MCMC runner, batched multi-mask ==="
+echo "=== ThreadSanitizer: thread pool, MCMC runner, batched multi-mask, plan, inject ==="
 for suite in "${TSAN_SUITES[@]}"; do
   TSAN_OPTIONS="halt_on_error=1" "$TSAN_DIR/tests/$suite"
 done

@@ -58,7 +58,8 @@ struct Config {
 };
 
 /// Cumulative ABFT counters. Atomic because conv forwards run sample-parallel
-/// (util::parallel_for) and every sample's GEMM shares one Stats instance.
+/// (util::parallel_for_chunked) and every sample's GEMM shares one Stats
+/// instance.
 struct Stats {
   std::atomic<std::uint64_t> checks{0};           // checked GEMM calls
   std::atomic<std::uint64_t> rows_checked{0};

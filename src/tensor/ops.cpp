@@ -18,8 +18,12 @@ namespace {
 // sample; a campaign evaluates the same geometry millions of times, so the
 // buffers are hoisted here and sized high-water-mark once per thread. Slots
 // keep the simultaneously-live buffers of one call apart; calls never nest
-// within a thread (conv2d_forward / conv2d_backward / conv2d_forward_multi
-// all use the arena only for the duration of their own loop bodies).
+// within a thread. conv2d_forward_into takes slot 0 once on the issuing
+// thread and hands one slice per chunk to whichever thread claims it (a
+// thread only joins calls while idle, so that slot is never shared by two
+// live calls); conv2d_backward takes slots 0/1 serially; conv2d_forward_multi
+// takes slots 2/3 inside its loop body, on whichever thread runs a tile, so
+// its buffers can still grow on a thread's first tile.
 float* scratch_floats(std::size_t slot, std::size_t n) {
   thread_local std::vector<float> buffers[4];
   std::vector<float>& buf = buffers[slot];
@@ -225,26 +229,41 @@ void conv2d_forward_into(const Tensor& input, const Tensor& weight,
   BDLFI_CHECK_MSG(output.data() != input.data(),
                   "conv2d_forward_into cannot run in place");
 
-  util::parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t s) {
-    float* cols = scratch_floats(0, static_cast<std::size_t>(patch * oh * ow));
-    const float* in = input.data() + static_cast<std::int64_t>(s) * c * h * w;
-    im2col(in, c, h, w, spec, cols);
-    float* out =
-        output.data() + static_cast<std::int64_t>(s) * o * oh * ow;
-    // [O, patch] x [patch, OH*OW] -> [O, OH*OW]; sample s owns the flat
-    // output window starting at s*o*oh*ow, which is how gemm_checked selects
-    // this sample's compute-fault flips. Verification stays serial per call;
-    // this loop is already sample-parallel.
-    abft::gemm_checked(false, false, o, oh * ow, patch, 1.0f, weight.data(),
-                       patch, cols, oh * ow, out, oh * ow, ctx,
-                       static_cast<std::int64_t>(s) * o * oh * ow);
-    if (!bias.empty()) {
-      const backend::KernelBackend& be = backend::active();
-      for (std::int64_t oc = 0; oc < o; ++oc) {
-        be.add_const(out + oc * oh * ow, bias[oc], oh * ow);
-      }
-    }
-  });
+  // One im2col workspace per call, taken on the issuing thread: chunk c
+  // unfolds into slice c whichever thread claims it, so no thread's scratch
+  // grows in steady state. pool.size() + 1 is the most threads that can run
+  // one call's chunks (its helpers plus the issuer).
+  const auto slice = static_cast<std::size_t>(patch * oh * ow);
+  const std::size_t chunks = std::min<std::size_t>(
+      static_cast<std::size_t>(n), util::ThreadPool::global().size() + 1);
+  float* workspace = scratch_floats(0, chunks * slice);
+  util::parallel_for_chunked(
+      0, static_cast<std::size_t>(n), chunks,
+      [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
+        float* cols = workspace + chunk * slice;
+        for (std::size_t s = lo; s < hi; ++s) {
+          const float* in =
+              input.data() + static_cast<std::int64_t>(s) * c * h * w;
+          im2col(in, c, h, w, spec, cols);
+          float* out =
+              output.data() + static_cast<std::int64_t>(s) * o * oh * ow;
+          // [O, patch] x [patch, OH*OW] -> [O, OH*OW]; sample s owns the
+          // flat output window starting at s*o*oh*ow, which is how
+          // gemm_checked selects this sample's compute-fault flips.
+          // Verification stays serial per call; this loop is already
+          // sample-parallel.
+          abft::gemm_checked(false, false, o, oh * ow, patch, 1.0f,
+                             weight.data(), patch, cols, oh * ow, out,
+                             oh * ow, ctx,
+                             static_cast<std::int64_t>(s) * o * oh * ow);
+          if (!bias.empty()) {
+            const backend::KernelBackend& be = backend::active();
+            for (std::int64_t oc = 0; oc < o; ++oc) {
+              be.add_const(out + oc * oh * ow, bias[oc], oh * ow);
+            }
+          }
+        }
+      });
 }
 
 void conv2d_forward_multi(const float* input, bool shared_input,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <memory>
 
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -25,9 +27,6 @@ struct PoolMetrics {
     return m;
   }
 };
-
-// True on pool worker threads; a parallel_for issued there runs inline.
-thread_local bool t_pool_worker = false;
 
 }  // namespace
 
@@ -69,7 +68,6 @@ void ThreadPool::wait_idle() {
 }
 
 void ThreadPool::worker_loop() {
-  t_pool_worker = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -129,7 +127,7 @@ void parallel_for(std::size_t begin, std::size_t end,
   if (begin >= end) return;
   if (pool == nullptr) pool = &ThreadPool::global();
   const std::size_t n = end - begin;
-  if (n <= 1 || pool->size() == 1 || t_pool_worker) {
+  if (n <= 1 || pool->size() == 1) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
@@ -142,46 +140,84 @@ void parallel_for(std::size_t begin, std::size_t end,
       pool);
 }
 
-void parallel_for_chunked(
-    std::size_t begin, std::size_t end, std::size_t num_chunks,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn,
-    ThreadPool* pool) {
+namespace {
+
+using ChunkFn = std::function<void(std::size_t, std::size_t, std::size_t)>;
+
+// First index of chunk c in the static partition of [begin, begin + n) into
+// num_chunks contiguous ranges (the first n % num_chunks get one extra item).
+std::size_t chunk_start(std::size_t begin, std::size_t n,
+                        std::size_t num_chunks, std::size_t c) {
+  return begin + c * (n / num_chunks) + std::min(c, n % num_chunks);
+}
+
+// One parallel_for_chunked call, shared by the issuing thread and its helper
+// tasks. Held by shared_ptr so a helper that starts after the call returned
+// still finds live state: it sees an exhausted cursor and returns without
+// touching `fn`. A thread that claims chunk c < num_chunks keeps the call
+// (and so `fn`) alive, because the issuer waits until every chunk is done.
+struct ChunkClaims {
+  ChunkClaims(std::size_t begin, std::size_t n, std::size_t num_chunks,
+              const ChunkFn& fn)
+      : begin(begin), n(n), num_chunks(num_chunks), fn(&fn) {}
+
+  // Claims chunks from the cursor and runs them until none are left. An
+  // exception from a chunk is kept for the issuer to rethrow.
+  void run_claimed() {
+    for (;;) {
+      const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
+      if (c >= num_chunks) return;
+      std::exception_ptr err;
+      try {
+        (*fn)(c, chunk_start(begin, n, num_chunks, c),
+              chunk_start(begin, n, num_chunks, c + 1));
+      } catch (...) {
+        err = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (err && !error) error = err;
+      if (++done == num_chunks) cv.notify_all();
+    }
+  }
+
+  const std::size_t begin, n, num_chunks;
+  const ChunkFn* const fn;
+  std::atomic<std::size_t> next{0};
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t done = 0;      // guarded by mu
+  std::exception_ptr error;  // guarded by mu; the first chunk exception
+};
+
+}  // namespace
+
+void parallel_for_chunked(std::size_t begin, std::size_t end,
+                          std::size_t num_chunks, const ChunkFn& fn,
+                          ThreadPool* pool) {
   if (begin >= end || num_chunks == 0) return;
   if (pool == nullptr) pool = &ThreadPool::global();
   const std::size_t n = end - begin;
   num_chunks = std::min(num_chunks, n);
-  const std::size_t base = n / num_chunks;
-  const std::size_t extra = n % num_chunks;
-  if (num_chunks == 1 || t_pool_worker) {
-    // Nested (or trivial) call: the outermost parallel_for owns the cores,
-    // so run the same partition inline, chunk ids unchanged.
-    std::size_t lo = begin;
+  if (num_chunks == 1 || pool->size() == 1) {
     for (std::size_t c = 0; c < num_chunks; ++c) {
-      const std::size_t hi = lo + base + (c < extra ? 1 : 0);
-      fn(c, lo, hi);
-      lo = hi;
+      fn(c, chunk_start(begin, n, num_chunks, c),
+         chunk_start(begin, n, num_chunks, c + 1));
     }
     return;
   }
-  // A dedicated latch-like barrier: reuse the pool's wait_idle would race with
-  // other concurrent users, so count completions locally.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t remaining = num_chunks;
-  std::size_t lo = begin;
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    const std::size_t len = base + (c < extra ? 1 : 0);
-    const std::size_t hi = lo + len;
-    pool->submit([&, c, lo, hi] {
-      fn(c, lo, hi);
-      std::lock_guard<std::mutex> lock(mu);
-      if (--remaining == 0) cv.notify_all();
-    });
-    lo = hi;
+  // Fork/join by claims: helpers and the issuing thread take chunks from one
+  // cursor, so idle workers join in at any nesting depth. The issuer then
+  // waits only for chunks already claimed by running threads — it never runs
+  // a task it did not issue, and a wait never depends on a queued task.
+  auto claims = std::make_shared<ChunkClaims>(begin, n, num_chunks, fn);
+  const std::size_t helpers = std::min(num_chunks - 1, pool->size());
+  for (std::size_t i = 0; i < helpers; ++i) {
+    pool->submit([claims] { claims->run_claimed(); });
   }
-  BDLFI_CHECK(lo == end);
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return remaining == 0; });
+  claims->run_claimed();
+  std::unique_lock<std::mutex> lock(claims->mu);
+  claims->cv.wait(lock, [&] { return claims->done == num_chunks; });
+  if (claims->error) std::rethrow_exception(claims->error);
 }
 
 }  // namespace bdlfi::util

@@ -7,13 +7,16 @@
 // stream per *index range* (not per thread); `parallel_for_chunked` exposes
 // the chunk id for exactly that purpose.
 //
-// Parallelism rule: the outermost `parallel_for` owns the cores. A
-// `parallel_for` / `parallel_for_chunked` issued from inside a pool task (MCMC
-// chains → per-sample conv → row-split GEMM) runs inline on the calling
-// worker instead of queueing behind the outer chunks, so nesting can never
-// park every worker on a latch whose tasks no worker will run. The inline
-// form walks the same partition with the same chunk ids, so per-chunk RNG
-// streams — and every result — are identical at any nesting depth.
+// Parallelism rule: fork/join by claims, one path at every nesting depth
+// (MCMC chains → per-sample conv → row-split GEMM). A call submits helper
+// tasks that, like the calling thread, claim chunks from a shared cursor
+// until none are left. The caller then waits only for chunks that running
+// threads have already claimed, so nesting can never park every worker on a
+// latch whose tasks no worker will run, and idle workers join any loop whose
+// chunks are still unclaimed. The caller never runs a task it did not issue
+// (a chain's round watchdog times that chain's work only). The partition and
+// the chunk ids are fixed by the arguments alone, so per-chunk RNG streams —
+// and every result — are identical at any nesting depth and pool size.
 #pragma once
 
 #include <condition_variable>
@@ -68,18 +71,20 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Runs fn(i) for i in [begin, end) across the pool; blocks until done.
-/// Falls back to the calling thread for tiny ranges and when called from a
-/// pool worker (see the parallelism rule above).
+/// Runs fn(i) for i in [begin, end) across the pool and the calling thread;
+/// blocks until done. Runs serially on the calling thread for a single item
+/// or a one-worker pool.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn,
                   ThreadPool* pool = nullptr);
 
 /// Runs fn(chunk_id, chunk_begin, chunk_end) over a static partition of
-/// [begin, end) into `num_chunks` contiguous ranges. chunk_id is stable across
-/// runs, thread counts and nesting depth (a call from a pool worker runs the
-/// chunks inline, in order), so per-chunk RNG streams give deterministic
-/// output.
+/// [begin, end) into `num_chunks` contiguous ranges, on the calling thread
+/// and up to min(num_chunks - 1, pool size) helper tasks (see the
+/// parallelism rule above). chunk_id is stable across runs, thread counts and
+/// nesting depth, so per-chunk RNG streams give deterministic output; which
+/// thread runs a chunk is not. An exception thrown by fn propagates to the
+/// calling thread, and only once no chunk is still running.
 void parallel_for_chunked(std::size_t begin, std::size_t end,
                           std::size_t num_chunks,
                           const std::function<void(std::size_t, std::size_t,

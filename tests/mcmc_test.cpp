@@ -238,9 +238,9 @@ TEST_F(McmcTest, CompletenessConvergesOnEasyTarget) {
 // One chain per pool worker with batched retained evals. Every worker runs a
 // chain, and with 600 eval samples each forward through the 16->32 dense
 // layer is a GEMM large enough (m*n*k >= 2^18) to row-split through the same
-// pool from inside a chain. The nested split must run inline on the chain's
-// worker (the outermost parallel_for owns the cores) rather than queue behind
-// chains that are waiting on it.
+// pool from inside a chain. The chain's thread must claim and run the nested
+// split's chunks itself when no worker is free, rather than wait on helper
+// tasks queued behind chains that are waiting on it.
 TEST(CompletenessAtPoolWidth, BatchedMlpCampaignCompletesAndReruns) {
   util::Rng data_rng{31};
   data::Dataset data = data::make_two_moons(600, 0.08, data_rng);

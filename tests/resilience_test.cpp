@@ -82,13 +82,15 @@ class NanTarget : public bayes::MaskTarget {
   bool requires_network_eval() const override { return false; }
 };
 
-/// A healthy prior target that burns wall-clock on every density evaluation,
-/// to trip the cooperative watchdog.
+/// A healthy prior target that sleeps for `delay` on every density
+/// evaluation, to trip the cooperative watchdog.
 class SlowTarget : public bayes::MaskTarget {
  public:
-  SlowTarget(bayes::BayesianFaultNetwork& net, double p) : prior_(net, p) {}
+  SlowTarget(bayes::BayesianFaultNetwork& net, double p,
+             std::chrono::milliseconds delay)
+      : prior_(net, p), delay_(delay) {}
   double log_density(const FaultMask& mask) override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::this_thread::sleep_for(delay_);
     return prior_.log_density(mask);
   }
   std::optional<double> analytic_toggle_delta(const FaultMask&,
@@ -99,6 +101,7 @@ class SlowTarget : public bayes::MaskTarget {
 
  private:
   bayes::PriorTarget prior_;
+  std::chrono::milliseconds delay_;
 };
 
 RunnerConfig small_runner() {
@@ -409,15 +412,24 @@ TEST_F(ResilienceTest, FewerThanTwoSurvivorsFailsLoudlyWithoutAborting) {
 }
 
 TEST_F(ResilienceTest, TimedOutChainIsQuarantined) {
+  // The timeout sits far above a healthy chain's round, sanitized builds
+  // included (tens of ms), and one slow density evaluation outlasts it, so
+  // exactly the slow chain trips the watchdog on its first step.
+  constexpr std::chrono::milliseconds kRoundTimeout{1000};
   RunnerConfig config = small_runner();
   config.num_chains = 3;
-  config.supervisor.round_timeout_ms = 10.0;
+  config.supervisor.round_timeout_ms =
+      static_cast<double>(kRoundTimeout.count());
   config.supervisor.max_retries = 0;
   const double p = 1e-3;
-  ChainTargetFactory factory = [p](bayes::BayesianFaultNetwork& net,
+  ChainTargetFactory factory = [p, kRoundTimeout](
+                                   bayes::BayesianFaultNetwork& net,
                                    std::size_t chain)
       -> std::unique_ptr<bayes::MaskTarget> {
-    if (chain == 1) return std::make_unique<SlowTarget>(net, p);
+    if (chain == 1) {
+      return std::make_unique<SlowTarget>(
+          net, p, kRoundTimeout + std::chrono::milliseconds(500));
+    }
     return std::make_unique<bayes::PriorTarget>(net, p);
   };
 

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
+#include "tensor/abft.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace bdlfi::tensor {
 namespace {
@@ -224,6 +227,41 @@ TEST(Conv2d, OneByOneKernel) {
   EXPECT_LT(Tensor::max_abs_diff(conv2d_forward(input, weight, {}, spec),
                                  naive_conv2d(input, weight, {}, spec)),
             1e-3f);
+}
+
+TEST(Conv2d, ConcurrentCallsFromPoolTasksMatchLoneCalls) {
+  // Production shape: each sample's [64, 576] x [576, 64] GEMM crosses the
+  // 2^18 row-split threshold, so every conv chunk issues a nested split
+  // while another pool task runs its own conv over the same pool.
+  util::Rng rng{12};
+  const Tensor weight = Tensor::randn(Shape{64, 64, 3, 3}, rng);
+  const Tensor bias = Tensor::randn(Shape{64}, rng);
+  const Conv2dSpec spec;  // 3x3, stride 1, pad 1
+  const Tensor inputs[2] = {Tensor::randn(Shape{9, 64, 8, 8}, rng),
+                            Tensor::randn(Shape{9, 64, 8, 8}, rng)};
+  const Tensor want[2] = {conv2d_forward(inputs[0], weight, bias, spec),
+                          conv2d_forward(inputs[1], weight, bias, spec)};
+
+  constexpr int kReps = 4;
+  std::vector<Tensor> got;
+  for (int r = 0; r < 2 * kReps; ++r) got.emplace_back(want[0].shape());
+  util::ThreadPool& pool = util::ThreadPool::global();
+  for (int t = 0; t < 2; ++t) {
+    pool.submit([&, t] {
+      for (int r = t; r < 2 * kReps; r += 2) {
+        conv2d_forward_into(inputs[t], weight, bias, spec, abft::OpContext{},
+                            got[static_cast<std::size_t>(r)]);
+      }
+    });
+  }
+  pool.wait_idle();
+  for (int r = 0; r < 2 * kReps; ++r) {
+    const Tensor& g = got[static_cast<std::size_t>(r)];
+    EXPECT_EQ(std::memcmp(g.data(), want[r % 2].data(),
+                          sizeof(float) * static_cast<std::size_t>(g.numel())),
+              0)
+        << "task " << r % 2 << ", call " << r / 2;
+  }
 }
 
 TEST(Conv2d, BackwardNumericalGradientCheck) {

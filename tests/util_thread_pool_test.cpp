@@ -4,7 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/rng.h"
@@ -99,10 +105,26 @@ TEST(ParallelForChunked, MoreChunksThanItemsClamps) {
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
+TEST(ParallelForChunked, ChunkExceptionIsRethrownAfterEveryChunkRan) {
+  // Helpers still hold references into the caller's frame while they run,
+  // so a throwing chunk must not unwind the caller before they finish.
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> ran(16);
+  EXPECT_THROW(parallel_for_chunked(
+                   0, 16, 16,
+                   [&](std::size_t c, std::size_t, std::size_t) {
+                     ran[c].fetch_add(1);
+                     if (c % 5 == 0) throw std::runtime_error("chunk failed");
+                   },
+                   &pool),
+               std::runtime_error);
+  for (auto& r : ran) EXPECT_EQ(r.load(), 1);
+}
+
 TEST(ParallelFor, NestedUseDoesNotDeadlock) {
   // Outer width equal to the pool size: every worker holds an outer task, so
-  // a nested call that queued its work behind them (instead of running
-  // inline) would wait forever on tasks no worker is free to run.
+  // a nested call whose issuer waited on queued tasks (instead of claiming
+  // its own chunks) would wait forever on tasks no worker is free to run.
   ThreadPool pool(4);
   const std::size_t outer = pool.size();
   constexpr std::size_t kInner = 30;
@@ -145,6 +167,65 @@ TEST(ParallelFor, NestedUseDoesNotDeadlock) {
   EXPECT_EQ(want_chunk[8], 1u);
   EXPECT_EQ(want_chunk[16], 2u);
   EXPECT_EQ(want_chunk[23], 3u);
+}
+
+TEST(ParallelFor, NarrowOuterLoopBorrowsIdleWorkers) {
+  // Two outer tasks on a four-worker pool: the idle workers must join the
+  // inner loops. Each inner chunk records its thread and then waits until
+  // three distinct threads have run inner chunks, so the count does not
+  // depend on how fast helpers wake. One deadline caps all the waits at 10 s.
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> inner_threads;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  parallel_for(0, 2, [&](std::size_t) {
+    parallel_for_chunked(0, 8, 8, [&](std::size_t, std::size_t, std::size_t) {
+      std::unique_lock<std::mutex> lock(mu);
+      inner_threads.insert(std::this_thread::get_id());
+      cv.notify_all();
+      cv.wait_until(lock, deadline,
+                    [&] { return inner_threads.size() >= 3; });
+    }, &pool);
+  }, &pool);
+  EXPECT_GE(inner_threads.size(), 3u);
+}
+
+thread_local int t_outer_tag = -1;
+
+TEST(ParallelFor, WaiterRunsOnlyItsOwnChunks) {
+  // Three outer tasks each issue a slow inner loop; idle workers claim
+  // some of their chunks, so issuers finish their own share and then wait
+  // while the other calls' helper tasks sit queued. An issuer runs only
+  // chunks of its own call: any inner chunk that runs on a thread inside an
+  // outer task sees that task's tag, never another's. (A waiter that ran
+  // queued tasks fails this in every run.)
+  ThreadPool pool(4);
+  constexpr std::size_t kOuter = 3, kInner = 12;
+  std::vector<std::vector<int>> seen(kOuter, std::vector<int>(kInner, -2));
+  parallel_for(0, kOuter, [&](std::size_t o) {
+    t_outer_tag = static_cast<int>(o);
+    parallel_for_chunked(0, kInner, kInner,
+                         [&, o](std::size_t c, std::size_t, std::size_t) {
+                           std::this_thread::sleep_for(
+                               std::chrono::microseconds(500));
+                           seen[o][c] = t_outer_tag;
+                         },
+                         &pool);
+    t_outer_tag = -1;
+  }, &pool);
+  std::size_t own = 0;
+  for (std::size_t o = 0; o < kOuter; ++o) {
+    for (std::size_t c = 0; c < kInner; ++c) {
+      // -1: an idle helper; o: the issuer itself.
+      EXPECT_TRUE(seen[o][c] == -1 || seen[o][c] == static_cast<int>(o))
+          << "outer " << o << " chunk " << c << " ran inside outer "
+          << seen[o][c];
+      if (seen[o][c] == static_cast<int>(o)) ++own;
+    }
+  }
+  EXPECT_GT(own, 0u);  // issuers do claim chunks of their own calls
 }
 
 }  // namespace
