@@ -66,18 +66,16 @@ for backend in scalar avx2; do
     --output-on-failure -R 'MultiMask|perf_mask_eval'
 done
 
-# Targeted planned-execution / fusion pass: the execution plan's arena is a
-# single flat allocation carved into reused buffer views (offset arithmetic,
-# borrowed tensors outliving individual forwards), and eval fusion rewrites
-# conv weights in place from folded BN stats — both textbook sanitizer
-# territory. The plan suite covers arena sizing/steady-state reuse, planned
-# vs legacy parity, and fold correctness; the kernels bench smoke drives the
-# fused conv+BN+ReLU race end to end.
+# Targeted planned-execution pass: the execution plan's arena is a single
+# flat allocation carved into reused buffer views (offset arithmetic,
+# borrowed tensors outliving individual forwards) — textbook sanitizer
+# territory. The plan suite covers arena sizing/steady-state reuse and
+# planned vs legacy parity; the kernels bench smoke drives the GEMM race.
 for backend in scalar avx2; do
   if [ "$backend" = avx2 ] && ! grep -q avx2 /proc/cpuinfo 2>/dev/null; then
     continue
   fi
-  echo "=== planned-execution / fusion suite under BDLFI_BACKEND=$backend ==="
+  echo "=== planned-execution (arena plan) suite under BDLFI_BACKEND=$backend ==="
   BDLFI_BACKEND="$backend" ctest --test-dir "$BUILD_DIR" \
     --output-on-failure -R 'PlanTest|perf_kernels_smoke'
 done

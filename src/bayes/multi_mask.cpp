@@ -353,10 +353,7 @@ MultiMaskEvaluator::MultiMaskEvaluator(BayesianFaultNetwork& net)
 MultiMaskEvaluator::~MultiMaskEvaluator() = default;
 
 bool MultiMaskEvaluator::batchable() const {
-  // eval_fusion folds BN into block convs on the sequential/planned path;
-  // the widened forward decomposes blocks unfused, so batching under fusion
-  // would break the bit-exact-parity contract — route sequentially instead.
-  return kinds_ok_ && !net_.has_guards_ && !net_.net_.eval_fusion() &&
+  return kinds_ok_ && !net_.has_guards_ &&
          net_.net_.abft().mode == tensor::abft::Mode::kOff;
 }
 

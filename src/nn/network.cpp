@@ -60,7 +60,7 @@ const Tensor* Network::planned_forward(std::size_t first_layer,
                                        const ActivationHook& hook) {
   for (auto& plan : plans_) {
     if (plan->covers(first_layer, act.shape())) {
-      return &plan->run(*this, first_layer, act, hook, fuse_);
+      return &plan->run(*this, first_layer, act, hook);
     }
   }
   // Compiling needs a full-network probe, so only a layer-0 call can create
@@ -69,7 +69,7 @@ const Tensor* Network::planned_forward(std::size_t first_layer,
   constexpr std::size_t kMaxPlans = 4;
   if (plans_.size() >= kMaxPlans) plans_.erase(plans_.begin());
   plans_.push_back(ExecutionPlan::compile(*this, act));
-  return &plans_.back()->run(*this, first_layer, act, hook, fuse_);
+  return &plans_.back()->run(*this, first_layer, act, hook);
 }
 
 const ExecutionPlan* Network::plan_for(const Shape& shape) const {
@@ -186,12 +186,11 @@ Network Network::clone() const {
   }
   // ABFT is a deployment property of the network, so replicas keep it; the
   // counters and any installed compute-fault plan are per-instance state and
-  // start fresh (stats at zero, no plan). Eval fusion is a deployment
-  // property too, but compiled ExecutionPlans are not copied: each replica
-  // compiles its own and therefore owns an independent arena.
+  // start fresh (stats at zero, no plan). Compiled ExecutionPlans are not
+  // copied: each replica compiles its own and therefore owns an independent
+  // arena.
   copy.abft_ = abft_;
   copy.abft_layers_ = abft_layers_;
-  copy.fuse_ = fuse_;
   return copy;
 }
 

@@ -52,8 +52,8 @@ class Network {
   /// Eval-mode forwards run through a compiled ExecutionPlan (pre-sized
   /// arena buffers, no per-eval allocations) that calls each layer's
   /// forward_into — stateful layers (MC-dropout, calibrating range guards)
-  /// included — bit-exact with the layer loop when fusion is off. Training
-  /// forwards take the layer loop.
+  /// included — bit-exact with the layer loop. Training forwards take the
+  /// layer loop.
   Tensor forward(const Tensor& x, bool training = false,
                  const ActivationHook& hook = nullptr);
 
@@ -77,15 +77,6 @@ class Network {
   /// performs zero heap allocations.
   const Tensor& forward_view(std::size_t first_layer, const Tensor& act,
                              const ActivationHook& hook = nullptr);
-
-  /// Eval-mode fusion (default off; the --no-fuse escape hatch maps to
-  /// set_eval_fusion(false)). Folds BN into conv weights inside residual
-  /// blocks and elides dense+relu pairs. BN folding changes rounding relative
-  /// to the unfused path (documented tolerance in DESIGN.md §13); dense+relu
-  /// elision is bit-exact. A deployment property: clone() copies it. Ignored
-  /// for checked (ABFT/compute-fault) forwards.
-  void set_eval_fusion(bool on) { fuse_ = on; }
-  bool eval_fusion() const { return fuse_; }
 
   /// The plan that covers an eval forward starting at layer 0 with input
   /// shape `shape`, or nullptr if none has been compiled yet. Test/telemetry
@@ -185,7 +176,6 @@ class Network {
   // cache: oldest evicted). Per-instance — clones compile their own plans and
   // therefore own independent arenas.
   std::vector<std::unique_ptr<ExecutionPlan>> plans_;
-  bool fuse_ = false;
   Tensor fallback_logits_;  // forward_view storage on the legacy path
 };
 

@@ -1,35 +1,12 @@
 #include "nn/plan.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "nn/resblock.h"
 #include "tensor/ops.h"
 #include "util/check.h"
 
 namespace bdlfi::nn {
-
-void fold_conv_bn(const Tensor& weight, const Tensor& bias, BatchNorm2d& bn,
-                  Tensor& folded_weight, Tensor& folded_bias) {
-  const std::int64_t o = weight.shape()[0];
-  BDLFI_CHECK(folded_weight.numel() == weight.numel());
-  BDLFI_CHECK(folded_bias.numel() == o);
-  BDLFI_CHECK(bn.channels() == o);
-  const std::int64_t per = weight.numel() / o;
-  const float* w = weight.data();
-  float* wf = folded_weight.data();
-  for (std::int64_t ch = 0; ch < o; ++ch) {
-    // Same scale/shift arithmetic as BatchNorm2d's eval forward, pushed
-    // through linearity into the producing conv's weights.
-    const float inv_std = 1.0f / std::sqrt(bn.running_var()[ch] + bn.eps());
-    const float scale = bn.gamma()[ch] * inv_std;
-    const float shift = bn.beta()[ch] - bn.running_mean()[ch] * scale;
-    const float* src = w + ch * per;
-    float* dst = wf + ch * per;
-    for (std::int64_t i = 0; i < per; ++i) dst[i] = src[i] * scale;
-    folded_bias[ch] = (bias.empty() ? 0.0f : bias[ch]) * scale + shift;
-  }
-}
 
 std::unique_ptr<ExecutionPlan> ExecutionPlan::compile(Network& net,
                                                       const Tensor& probe) {
@@ -54,26 +31,6 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::compile(Network& net,
   for (std::size_t i = 0; i < net.num_layers(); ++i) {
     plan->lower_layer(net, i, shapes[i], shapes[i + 1], in_buf);
     in_buf = plan->groups_.back().out_buf;
-  }
-
-  // Exact dense+relu elision spans. The relu aliases the dense's buffer by
-  // construction, so the elided step writes the same slot the unfused pair
-  // would — downstream groups are none the wiser.
-  for (std::size_t g = 0; g + 1 < plan->groups_.size(); ++g) {
-    Group& a = plan->groups_[g];
-    Group& b = plan->groups_[g + 1];
-    if (net.layer_kind(a.layer) == "dense" &&
-        net.layer_kind(b.layer) == "relu" && a.out_buf == b.out_buf) {
-      Step s;
-      s.op = Step::Op::kDenseRelu;
-      s.layer = &net.layer(a.layer);
-      s.in_buf = -1;
-      s.out_buf = a.out_buf;
-      s.in_shape = a.in_shape;
-      s.out_shape = b.out_shape;
-      a.span_len = 2;
-      a.span_steps.push_back(std::move(s));
-    }
   }
 
   plan->finalize();
@@ -139,8 +96,8 @@ void ExecutionPlan::lower_block(BasicBlock& blk, Group& grp, int in_buf) {
     return s;
   };
 
-  // Unfused lowering — mirrors BasicBlock::forward step for step (the main
-  // branch, then the shortcut, then join + relu). Bit-exact by construction.
+  // Mirrors BasicBlock::forward step for step (the main branch, then the
+  // shortcut, then join + relu). Bit-exact by construction.
   grp.steps.push_back(mk(Step::Op::kForwardInto, &blk.conv1(), -1, t1, x, mid));
   grp.steps.push_back(mk(Step::Op::kForwardInto, &blk.bn1(), t1, t1, mid, mid));
   grp.steps.push_back(mk(Step::Op::kRelu, nullptr, t1, t1, mid, mid));
@@ -157,37 +114,6 @@ void ExecutionPlan::lower_block(BasicBlock& blk, Group& grp, int in_buf) {
     grp.steps.push_back(mk(Step::Op::kAdd, nullptr, -1, t2, x, out));
   }
   grp.steps.push_back(mk(Step::Op::kRelu, nullptr, t2, t2, out, out));
-
-  // Fused lowering: BN folded into each conv, relu fused onto conv1. Fold
-  // tensors are allocated lazily (first fused run) and refreshed from the
-  // live golden tensors every fused execution, so weight/BN bit flips remain
-  // visible through the fold.
-  folds_.push_back(Fold{&blk.conv1(), &blk.bn1(), Tensor{}, Tensor{}});
-  const int f1 = static_cast<int>(folds_.size()) - 1;
-  folds_.push_back(Fold{&blk.conv2(), &blk.bn2(), Tensor{}, Tensor{}});
-  const int f2 = static_cast<int>(folds_.size()) - 1;
-
-  Step c1 = mk(Step::Op::kFoldedConv, nullptr, -1, t1, x, mid);
-  c1.conv = &blk.conv1();
-  c1.fold = f1;
-  c1.relu_after = true;
-  grp.fused.push_back(std::move(c1));
-  Step c2 = mk(Step::Op::kFoldedConv, nullptr, t1, t2, mid, out);
-  c2.conv = &blk.conv2();
-  c2.fold = f2;
-  grp.fused.push_back(std::move(c2));
-  if (blk.has_projection()) {
-    folds_.push_back(Fold{blk.proj_conv(), blk.proj_bn(), Tensor{}, Tensor{}});
-    const int f3 = static_cast<int>(folds_.size()) - 1;
-    Step c3 = mk(Step::Op::kFoldedConv, nullptr, -1, t3, x, out);
-    c3.conv = blk.proj_conv();
-    c3.fold = f3;
-    grp.fused.push_back(std::move(c3));
-    grp.fused.push_back(mk(Step::Op::kAdd, nullptr, t3, t2, out, out));
-  } else {
-    grp.fused.push_back(mk(Step::Op::kAdd, nullptr, -1, t2, x, out));
-  }
-  grp.fused.push_back(mk(Step::Op::kRelu, nullptr, t2, t2, out, out));
 }
 
 int ExecutionPlan::fresh_buffer(std::initializer_list<int> avoid) {
@@ -230,8 +156,6 @@ void ExecutionPlan::finalize() {
   };
   for (Group& g : groups_) {
     for (Step& s : g.steps) bind(s);
-    for (Step& s : g.fused) bind(s);
-    for (Step& s : g.span_steps) bind(s);
     g.out_view = Tensor::view(
         g.out_shape,
         arena_.at(buffer_offsets_[static_cast<std::size_t>(g.out_buf)]));
@@ -242,24 +166,6 @@ bool ExecutionPlan::covers(std::size_t first_layer, const Shape& shape) const {
   // Groups are 1:1 with top-level layers, in order.
   if (first_layer >= groups_.size()) return false;
   return groups_[first_layer].in_shape == shape;
-}
-
-bool ExecutionPlan::fusion_compiled() const {
-  if (!folds_.empty()) return true;
-  for (const Group& g : groups_) {
-    if (g.span_len > 1) return true;
-  }
-  return false;
-}
-
-void ExecutionPlan::refold_all() {
-  for (Fold& f : folds_) {
-    if (f.wf.empty()) {
-      f.wf = Tensor{f.conv->weight().shape()};
-      f.bf = Tensor{Shape{f.conv->out_channels()}};
-    }
-    fold_conv_bn(f.conv->weight(), f.conv->bias(), *f.bn, f.wf, f.bf);
-  }
 }
 
 void ExecutionPlan::exec_step(Step& s, const Tensor& group_in, bool checked,
@@ -278,17 +184,6 @@ void ExecutionPlan::exec_step(Step& s, const Tensor& group_in, bool checked,
         s.layer->forward_into(in, s.out_view);
       }
       break;
-    case Step::Op::kFoldedConv: {
-      Fold& f = folds_[static_cast<std::size_t>(s.fold)];
-      tensor::conv2d_forward_into(in, f.wf, f.bf, s.conv->spec(),
-                                  tensor::abft::OpContext{}, s.out_view);
-      if (s.relu_after) tensor::relu_inplace(s.out_view);
-      break;
-    }
-    case Step::Op::kDenseRelu:
-      s.layer->forward_into(in, s.out_view);
-      tensor::relu_inplace(s.out_view);
-      break;
     case Step::Op::kAdd:
       tensor::add_inplace(s.out_view, in);
       break;
@@ -300,28 +195,12 @@ void ExecutionPlan::exec_step(Step& s, const Tensor& group_in, bool checked,
 
 const Tensor& ExecutionPlan::run(Network& net, std::size_t first_layer,
                                  const Tensor& input,
-                                 const Network::ActivationHook& hook,
-                                 bool fuse) {
+                                 const Network::ActivationHook& hook) {
   BDLFI_CHECK(covers(first_layer, input.shape()));
   const bool checked = net.checked();
-  // Checked runs need the per-layer contexts of the unfused lowering.
-  const bool use_fused = fuse && !checked;
-  if (use_fused && !folds_.empty()) refold_all();
-
-  std::size_t g = first_layer;
-  while (g < groups_.size()) {
+  for (std::size_t g = first_layer; g < groups_.size(); ++g) {
     Group& grp = groups_[g];
     const Tensor& gin = (g == first_layer) ? input : groups_[g - 1].out_view;
-
-    // Exact elision spans only run hook-free: hooks must observe every
-    // top-level index. Values are identical either way.
-    if (use_fused && !hook && grp.span_len > 1) {
-      for (Step& s : grp.span_steps) {
-        exec_step(s, gin, /*checked=*/false, nullptr, nullptr);
-      }
-      g += grp.span_len;
-      continue;
-    }
 
     tensor::abft::OpContext ctx, inner;
     const tensor::abft::OpContext* inner_ptr = nullptr;
@@ -332,11 +211,8 @@ const Tensor& ExecutionPlan::run(Network& net, std::size_t first_layer,
       inner_ptr = &inner;
     }
 
-    std::vector<Step>& steps =
-        (use_fused && !grp.fused.empty()) ? grp.fused : grp.steps;
-    for (Step& s : steps) exec_step(s, gin, checked, &ctx, inner_ptr);
+    for (Step& s : grp.steps) exec_step(s, gin, checked, &ctx, inner_ptr);
     if (hook) hook(grp.layer, grp.out_view);
-    ++g;
   }
   return groups_.back().out_view;
 }

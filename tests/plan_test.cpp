@@ -5,13 +5,9 @@
 //     (instrumented global allocator; small control-flow vectors under the
 //     4 KiB threshold are explicitly out of scope — see DESIGN.md §13);
 //   * cloned networks compile independent plans with independent arenas;
-//   * unfused planned execution is bit-exact with the legacy layer-by-layer
-//     path (full forwards and truncated forward_from replays alike), which
-//     is exactly the --no-fuse guarantee;
-//   * BN-folded fused execution matches unfused within the documented
-//     tolerance, and fold_conv_bn itself matches conv→bn→relu;
-//   * fault-site enumeration (names, offsets, owning layers) is identical
-//     with fusion on and off — fusion never renames or reorders sites;
+//   * planned execution (one lowering per layer) is bit-exact with the
+//     legacy layer-by-layer path, full forwards and truncated forward_from
+//     replays alike;
 //   * evaluate(EvalRequest) stays bit-exact with sequential evaluation on the
 //     planned path for K ∈ {1, 8, 32};
 //   * planned and layer-by-layer forwards are bit-identical across thread
@@ -19,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <new>
@@ -28,11 +23,8 @@
 #include "bayes/fault_network.h"
 #include "data/cifar_like.h"
 #include "data/toy2d.h"
-#include "fault/space.h"
 #include "nn/arena.h"
-#include "nn/batchnorm.h"
 #include "nn/builders.h"
-#include "nn/conv.h"
 #include "nn/network.h"
 #include "nn/plan.h"
 #include "tensor/ops.h"
@@ -144,7 +136,6 @@ TEST(PlanTest, CompilesOnFirstEvalForwardAndCovers) {
   // The rotating-buffer assignment never needs more than the four slots the
   // compiler hands out (main ping-pong + block temporaries).
   EXPECT_LE(plan->num_buffers(), 4u);
-  EXPECT_TRUE(plan->fusion_compiled());  // resnet has foldable blocks
 }
 
 TEST(PlanTest, ArenaSizedAtHighWaterAndNeverRegrown) {
@@ -236,7 +227,6 @@ TEST(PlanTest, PlannedUnfusedIsBitExactWithLegacy) {
       act = s.net.layer(i).forward(act, /*training=*/false);
       acts.push_back(act);
     }
-    EXPECT_FALSE(s.net.eval_fusion());  // --no-fuse semantics by default
     Tensor planned = s.net.forward(s.inputs);
     expect_bitwise_equal(acts.back(), planned);
 
@@ -280,82 +270,6 @@ TEST(PlanTest, BitIdenticalAcrossThreadPoolSizes) {
   }
   util::ThreadPool::reinit_after_fork();
   for (const Tensor& out : outputs) expect_bitwise_equal(outputs.front(), out);
-}
-
-TEST(PlanTest, FusedExecutionMatchesUnfusedWithinTolerance) {
-  Subject s = make_resnet_subject();
-  Tensor unfused = s.net.forward(s.inputs);
-  s.net.set_eval_fusion(true);
-  Tensor fused = s.net.forward(s.inputs);
-  ASSERT_EQ(unfused.shape(), fused.shape());
-  for (std::int64_t i = 0; i < unfused.numel(); ++i) {
-    const float a = unfused[i], b = fused[i];
-    EXPECT_NEAR(a, b, 1e-4f * (1.0f + std::abs(a)))
-        << "logit " << i << " diverged beyond the BN-fold tolerance";
-  }
-  // Escape hatch: turning fusion back off restores bit-exactness without a
-  // recompile (the unfused lowering is always retained in the plan).
-  s.net.set_eval_fusion(false);
-  expect_bitwise_equal(s.net.forward(s.inputs), unfused);
-}
-
-TEST(PlanTest, FoldConvBnMatchesConvThenBn) {
-  util::Rng rng{406};
-  nn::Conv2d conv(3, 5, 3, /*stride=*/1, /*pad=*/1, /*bias=*/true);
-  conv.init_he(rng);
-  for (std::int64_t c = 0; c < 5; ++c) {
-    conv.bias()[c] = 0.02f * static_cast<float>(c) - 0.03f;
-  }
-  nn::BatchNorm2d bn(5);
-  for (std::int64_t c = 0; c < 5; ++c) {
-    bn.gamma()[c] = 0.5f + 0.1f * static_cast<float>(c);
-    bn.beta()[c] = -0.2f + 0.05f * static_cast<float>(c);
-    bn.running_mean()[c] = 0.01f * static_cast<float>(c);
-    bn.running_var()[c] = 1.0f + 0.2f * static_cast<float>(c);
-  }
-  Tensor x{Shape{2, 3, 6, 6}};
-  for (std::int64_t i = 0; i < x.numel(); ++i) {
-    x[i] = static_cast<float>(rng.uniform() - 0.5);
-  }
-
-  Tensor want = bn.forward(conv.forward(x, false), false);
-
-  Tensor wf{conv.weight().shape()};
-  Tensor bf{Shape{5}};
-  nn::fold_conv_bn(conv.weight(), conv.bias(), bn, wf, bf);
-  nn::Conv2d folded(3, 5, 3, /*stride=*/1, /*pad=*/1, /*bias=*/true);
-  folded.weight() = wf;
-  folded.bias() = bf;
-  Tensor got = folded.forward(x, false);
-
-  ASSERT_EQ(want.shape(), got.shape());
-  for (std::int64_t i = 0; i < want.numel(); ++i) {
-    EXPECT_NEAR(want[i], got[i], 1e-5f * (1.0f + std::abs(want[i])));
-  }
-}
-
-TEST(PlanTest, FaultSiteEnumerationIsStableAcrossFusion) {
-  Subject s = make_resnet_subject();
-  nn::Network fused_net = s.net.clone();
-  fused_net.set_eval_fusion(true);
-  (void)fused_net.forward_view(0, s.inputs);  // compile the fused plan
-
-  fault::TargetSpec spec = fault::TargetSpec::all_parameters();
-  spec.include_buffers = true;
-  fault::InjectionSpace unfused_space(s.net, spec);
-  fault::InjectionSpace fused_space(fused_net, spec);
-
-  const auto& a = unfused_space.entries();
-  const auto& b = fused_space.entries();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].name, b[i].name);
-    EXPECT_EQ(a[i].offset, b[i].offset);
-    EXPECT_EQ(a[i].layer, b[i].layer);
-    EXPECT_EQ(a[i].numel, b[i].numel);
-    EXPECT_EQ(static_cast<int>(a[i].role), static_cast<int>(b[i].role));
-  }
-  EXPECT_EQ(unfused_space.total_elements(), fused_space.total_elements());
 }
 
 TEST(PlanTest, EvaluateMasksBitExactOnPlannedPath) {

@@ -207,6 +207,9 @@ TEST(ReplayParityTest, FirstReplayLayerPerSiteKind) {
       case InjectionSpace::SiteKind::kActivation:
         expected = entry.layer + 1;
         break;
+      case InjectionSpace::SiteKind::kCompute:
+        expected = entry.layer;
+        break;
     }
     EXPECT_EQ(space.first_replay_layer(mask), expected) << entry.name;
   }

@@ -21,6 +21,8 @@
 // and --resume refuses to continue under a different one (exit 6).
 // --mask-batch=K fuses K fault variants per widened forward in the batched
 // multi-mask evaluation path (bit-identical to K=1; DESIGN.md §10).
+// Every command rejects a flag it does not read (unknown flag, exit 2), so a
+// misspelt option cannot run silently with its default.
 // Resilience (campaign commands): --checkpoint-dir=<dir> saves an atomic
 // per-round campaign checkpoint (and arms SIGINT/SIGTERM for a graceful
 // stop), --resume continues bit-exactly from it, --round-timeout-ms /
@@ -28,8 +30,10 @@
 // chain supervision (retry, then quarantine, pathological chains).
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bayes/posterior_profile.h"
 #include "bayes/targets.h"
@@ -60,6 +64,32 @@ namespace {
 // (bench::Flags / bench::ObsSession / bench::parse_campaign_flags); the
 // subcommand at argv[1] carries no "--" prefix so the parser skips it.
 using bench::Flags;
+
+// Accepted flags: one list per command (next to its cmd_*), built from the
+// shared groups below. main() rejects any other key before any work starts.
+using FlagList = std::vector<std::string>;
+
+FlagList join(std::initializer_list<FlagList> lists) {
+  FlagList all;
+  for (const FlagList& list : lists) {
+    all.insert(all.end(), list.begin(), list.end());
+  }
+  return all;
+}
+
+// Read by build_subject.
+const FlagList kSubjectFlags = {"model",     "width",     "image-size",
+                                "samples",   "samples-per-class",
+                                "data-seed", "init-seed"};
+// Kernel backend (resolved in main for every command) and batched evaluation.
+const FlagList kKernelFlags = {"backend", "mask-batch"};
+// bench::ObsSession (its campaign subject label reads --layer).
+const FlagList kObservabilityFlags = {"progress", "metrics", "fsync-metrics",
+                                      "trace", "layer"};
+// bench::parse_campaign_flags: chain supervision and checkpoint/resume.
+const FlagList kResilienceFlags = {
+    "checkpoint-dir",   "resume",         "round-timeout-ms", "min-acceptance",
+    "max-chain-retries", "retry-backoff-ms", "max-evals-per-round"};
 
 struct Subject {
   nn::Network net;
@@ -118,6 +148,9 @@ Subject load_subject(const Flags& args) {
   return subject;
 }
 
+// Read by make_bfn.
+const FlagList kFaultModelFlags = {"avf", "abft", "target", "layer"};
+
 bayes::BayesianFaultNetwork make_bfn(Subject& subject, const Flags& args) {
   fault::AvfProfile profile = fault::AvfProfile::uniform();
   const std::string avf = args.get("avf", "uniform");
@@ -137,14 +170,6 @@ bayes::BayesianFaultNetwork make_bfn(Subject& subject, const Flags& args) {
     std::exit(2);
   }
   subject.net.set_abft(abft);
-  // Eval-mode conv+BN fusion (--fuse) folds BatchNorm into the adjacent conv
-  // inside residual blocks for throughput. Fused arithmetic rounds
-  // differently from the unfused plan (within the documented tolerance;
-  // DESIGN.md §13), so it is opt-in and --no-fuse always wins — the default
-  // stays bit-exact with the sequential reference. Set before the
-  // BayesianFaultNetwork clones so every chain replica inherits it.
-  subject.net.set_eval_fusion(args.get("fuse", std::int64_t{0}) != 0 &&
-                              args.get("no-fuse", std::int64_t{0}) == 0);
   bayes::TargetSpec spec = bayes::TargetSpec::all_parameters();
   const std::string target = args.get("target", "params");
   if (target == "compute") {
@@ -160,6 +185,11 @@ bayes::BayesianFaultNetwork make_bfn(Subject& subject, const Flags& args) {
                                      subject.test.inputs,
                                      subject.test.labels);
 }
+
+// Read by runner_from (its own, then via bench::parse_campaign_flags).
+const FlagList kRunnerFlags =
+    join({{"chains", "samples-per-chain", "burn-in", "thin", "seed"},
+          kKernelFlags, kResilienceFlags});
 
 mcmc::RunnerConfig runner_from(const Flags& args, bench::ObsSession& session) {
   mcmc::RunnerConfig runner;
@@ -194,6 +224,10 @@ int degradation_exit_code(const mcmc::CampaignResult& result, int ok_code) {
   return ok_code;
 }
 
+const FlagList kTrainFlags =
+    join({kSubjectFlags, kObservabilityFlags,
+          {"backend", "epochs", "batch", "lr", "seed", "out"}});
+
 int cmd_train(const Flags& args) {
   Subject subject = build_subject(args);
   train::TrainConfig config;
@@ -213,6 +247,10 @@ int cmd_train(const Flags& args) {
   std::printf("golden weights written to %s\n", out.c_str());
   return 0;
 }
+
+const FlagList kSweepFlags =
+    join({kSubjectFlags, kFaultModelFlags, kRunnerFlags, kObservabilityFlags,
+          {"ckpt", "p-lo", "p-hi", "points", "out"}});
 
 int cmd_sweep(const Flags& args, bench::ObsSession& session) {
   Subject subject = load_subject(args);
@@ -240,6 +278,10 @@ int cmd_sweep(const Flags& args, bench::ObsSession& session) {
   return sweep.interrupted ? 5 : 0;
 }
 
+const FlagList kLayersFlags =
+    join({kSubjectFlags, kRunnerFlags, kObservabilityFlags,
+          {"ckpt", "p", "dose"}});
+
 int cmd_layers(const Flags& args, bench::ObsSession& session) {
   Subject subject = load_subject(args);
   const auto points = inject::run_layer_campaign(
@@ -256,6 +298,10 @@ int cmd_layers(const Flags& args, bench::ObsSession& session) {
   std::printf("%s", table.to_text().c_str());
   return 0;
 }
+
+const FlagList kRandomFlags =
+    join({kSubjectFlags, kFaultModelFlags, kKernelFlags, kObservabilityFlags,
+          {"ckpt", "p", "injections", "seed"}});
 
 int cmd_random(const Flags& args) {
   Subject subject = load_subject(args);
@@ -279,6 +325,10 @@ int cmd_random(const Flags& args) {
               100.0 * result.detection_coverage, 100.0 * result.sdc_rate);
   return 0;
 }
+
+const FlagList kCompleteFlags =
+    join({kSubjectFlags, kFaultModelFlags, kRunnerFlags, kObservabilityFlags,
+          {"ckpt", "p", "rhat", "tol", "max-rounds"}});
 
 int cmd_complete(const Flags& args, bench::ObsSession& session) {
   Subject subject = load_subject(args);
@@ -332,6 +382,12 @@ int cmd_complete(const Flags& args, bench::ObsSession& session) {
   return degradation_exit_code(result.final_result,
                                result.converged ? 0 : 3);
 }
+
+const FlagList kHardenFlags =
+    join({kSubjectFlags, kFaultModelFlags, kRunnerFlags, kObservabilityFlags,
+          {"ckpt", "p", "profile", "profile-out", "lambda", "rhat", "tol",
+           "max-rounds", "tune-epochs", "tune-lr", "tune-seed", "batch",
+           "inject-prob", "max-flips", "budget", "out"}});
 
 int cmd_harden(const Flags& args, bench::ObsSession& session) {
   Subject subject = load_subject(args);
@@ -433,6 +489,10 @@ int cmd_harden(const Flags& args, bench::ObsSession& session) {
   return 0;
 }
 
+const FlagList kFleetFlags = {"backend", "spec",    "out",
+                              "resume",  "workers", "poll-ms",
+                              "quiet",   "chaos-kill-round"};
+
 int cmd_fleet(const Flags& args, const std::string& spec_path) {
   if (spec_path.empty()) {
     std::fprintf(stderr,
@@ -492,9 +552,6 @@ void usage() {
       "                 default: BDLFI_BACKEND env, else scalar)\n"
       "               --mask-batch=K (fault variants fused per widened\n"
       "                 forward; bit-identical to K=1, default 8)\n"
-      "               --fuse / --no-fuse (eval-mode conv+BN folding inside\n"
-      "                 residual blocks; off by default — fused rounding\n"
-      "                 differs from the bit-exact unfused plan)\n"
       "observability: --progress (live per-round health on stderr, with\n"
       "                 EWMA evals/sec and wall-clock ETA)\n"
       "               --metrics=<file.jsonl> (machine-readable event stream;\n"
@@ -506,9 +563,20 @@ void usage() {
       "               --round-timeout-ms=N --max-chain-retries=N\n"
       "               --min-acceptance=X --max-evals-per-round=N\n"
       "               --retry-backoff-ms=N\n"
-      "exit codes: 0 ok, 2 bad usage/backend, 3 not converged, "
-      "4 failed/rejected,\n"
-      "            5 interrupted, 6 resume/backend mismatch\n");
+      "exit codes: 0 ok, 2 bad usage/backend/unknown flag, 3 not converged,\n"
+      "            4 failed/rejected, 5 interrupted, 6 resume/backend "
+      "mismatch\n");
+}
+
+const FlagList* accepted_flags(const std::string& cmd) {
+  if (cmd == "train") return &kTrainFlags;
+  if (cmd == "sweep") return &kSweepFlags;
+  if (cmd == "layers") return &kLayersFlags;
+  if (cmd == "random") return &kRandomFlags;
+  if (cmd == "complete") return &kCompleteFlags;
+  if (cmd == "harden") return &kHardenFlags;
+  if (cmd == "fleet") return &kFleetFlags;
+  return nullptr;
 }
 
 }  // namespace
@@ -520,6 +588,17 @@ int main(int argc, char** argv) {
   }
   const Flags args(argc, argv);
   const std::string cmd = argv[1];
+  const FlagList* accepted = accepted_flags(cmd);
+  if (accepted == nullptr) {
+    usage();
+    return 2;
+  }
+  const std::string unknown = args.first_unknown(*accepted);
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "unknown flag --%s\n", unknown.c_str());
+    usage();
+    return 2;
+  }
   // One strict resolution up front for every command (flag beats
   // BDLFI_BACKEND beats scalar): train/random previously ignored --backend
   // entirely, silently producing scalar artifacts from an avx2 request.
@@ -531,25 +610,20 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--backend: %s\n", backend.error.c_str());
     return 2;
   }
-  int rc = 2;
   if (cmd == "fleet") {
     // The spec file rides as a positional argument right after the command.
     const std::string spec_path =
         (argc > 2 && argv[2][0] != '-') ? argv[2] : args.get("spec", "");
     return cmd_fleet(args, spec_path);
   }
-  if (cmd == "train" || cmd == "sweep" || cmd == "layers" || cmd == "random" ||
-      cmd == "complete" || cmd == "harden") {
-    bench::ObsSession session(args, "bdlfi " + cmd);
-    if (cmd == "train") rc = cmd_train(args);
-    if (cmd == "sweep") rc = cmd_sweep(args, session);
-    if (cmd == "layers") rc = cmd_layers(args, session);
-    if (cmd == "random") rc = cmd_random(args);
-    if (cmd == "complete") rc = cmd_complete(args, session);
-    if (cmd == "harden") rc = cmd_harden(args, session);
-    session.finish();
-    return rc;
-  }
-  usage();
-  return 2;
+  bench::ObsSession session(args, "bdlfi " + cmd);
+  int rc = 2;
+  if (cmd == "train") rc = cmd_train(args);
+  if (cmd == "sweep") rc = cmd_sweep(args, session);
+  if (cmd == "layers") rc = cmd_layers(args, session);
+  if (cmd == "random") rc = cmd_random(args);
+  if (cmd == "complete") rc = cmd_complete(args, session);
+  if (cmd == "harden") rc = cmd_harden(args, session);
+  session.finish();
+  return rc;
 }

@@ -10,9 +10,8 @@
 //                                   of equal length, cursor object or null)
 //   check_json --mask-eval f.json   BENCH_mask_eval.json: config + per-layer
 //                                   timings, the multi_mask batched-race
-//                                   section (groups, k_sweep, summary), the
-//                                   fused-eval race, and the truncated-replay
-//                                   summary
+//                                   section (groups, k_sweep, summary), and
+//                                   the truncated-replay summary
 //   check_json --fleet-spec f.json  bdlfi fleet campaign spec: parsed and
 //                                   expanded with the same strict loader the
 //                                   fleet runner uses, so "spec validates"
@@ -325,15 +324,6 @@ bool check_mask_eval(const obs::JsonValue& doc, std::string* error) {
   const obs::JsonValue* gate = mm_summary->find("gate_enforced");
   if (gate == nullptr || !gate->is_bool()) {
     *error = "multi_mask.summary: bad or missing \"gate_enforced\"";
-    return false;
-  }
-  const obs::JsonValue* fusion = doc.find("fusion");
-  if (fusion == nullptr || !fusion->is_object() ||
-      !require_numbers(*fusion,
-                       {"masks_per_rep", "reps", "unfused_s", "fused_s",
-                        "speedup"},
-                       "fusion", error)) {
-    if (error->empty()) *error = "missing fusion object";
     return false;
   }
   const obs::JsonValue* summary = doc.find("summary");
